@@ -12,20 +12,8 @@ from .channel import (
     marginalize,
     mutual_information,
 )
-from .errors import (
-    ConfigurationError,
-    NumericConsistencyError,
-    QuadratureError,
-    UnsupportedChannelError,
-)
-from .field_kernel import (
-    ModeFunctionSample,
-    PairingMatrix,
-    mode_function,
-    mode_function_dt,
-    pairing,
-    pairing_matrix,
-)
+from .errors import ConfigurationError, NumericConsistencyError, QuadratureError
+from .field_kernel import PairingMatrix, pairing, pairing_matrix
 from .qic import (
     FieldGrid,
     Generator,
@@ -52,14 +40,12 @@ __all__ = [
     "Generator",
     "GridAxis",
     "GridSpec",
-    "ModeFunctionSample",
     "NumericConsistencyError",
     "OutcomeDistribution",
     "PairingMatrix",
     "QicModeSet",
     "QuadratureError",
     "RadialSmearing",
-    "UnsupportedChannelError",
     "build_qic",
     "capacity",
     "capacity_table",
@@ -68,8 +54,6 @@ __all__ = [
     "joint_distribution",
     "make_channel_scenario",
     "marginalize",
-    "mode_function",
-    "mode_function_dt",
     "mutual_information",
     "pairing",
     "pairing_matrix",

@@ -5,10 +5,6 @@ class ConfigurationError(ValueError):
     """Invalid input configuration (bad dimensions, malformed config keys, ...)."""
 
 
-class UnsupportedChannelError(ConfigurationError):
-    """Momentum-channel smearings are representable but not evaluable."""
-
-
 class QuadratureError(RuntimeError):
     """A radial integral failed to converge to the requested tolerance.
 

@@ -26,31 +26,19 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import dawsn, j0
 
-from .errors import ConfigurationError, NumericConsistencyError
+from .errors import ConfigurationError
 from .quadrature import damped_tail_integral, oscillatory_integral, panel_nodes
 from .smearing import (
     GAUSSIAN,
-    RadialSmearing,
     ft_decay_power,
     ft_frequencies,
     ft_gauss_decay,
     radial_ft,
-    require_field_channel,
     support_radius,
 )
 
 if TYPE_CHECKING:  # Generator lives one layer up; only attributes are used here
     from .qic import Generator
-
-
-@dataclass(frozen=True)
-class ModeFunctionSample:
-    """One evaluation of a generator's mode-function integral I(t, x)."""
-
-    value: complex
-    t: float
-    x: tuple[float, ...]
-    generator_index: int
 
 
 @dataclass
@@ -87,9 +75,31 @@ def _kernel(d: int, dx: float, k: np.ndarray) -> np.ndarray:
     return j0(k * dx)
 
 
+def _radial_integrand(d: int, dx: float, tau: float, profiles, derivative: bool = False):
+    """The radial integrand w_d(k) kernel_d(k dx) prod rho(k) e^{i tau k}
+    [x i k] with its frequency groups, Gaussian decay and envelope power.
+
+    The power counts rho's decay, the measure's growth k^{d-2}, the kernel's
+    decay k^{-(d-1)/2} (dx > 0) and one power lost to the i k factor.
+    """
+    def integrand(k):
+        out = _measure(d, k) * _kernel(d, dx, k)
+        for s in profiles:
+            out *= radial_ft(s, k)  # in place, as numpy does for a chained product
+        out = out * np.exp(1j * tau * k)
+        return out * (1j * k) if derivative else out
+
+    groups = [ft_frequencies(s) for s in profiles]
+    power = sum(ft_decay_power(s) for s in profiles) + (2.0 - d) - float(derivative)
+    if dx > 0.0:
+        groups.append((dx,))
+        power += (d - 1) / 2.0
+    decay = sum(ft_gauss_decay(s) for s in profiles)
+    return integrand, groups, decay, max(power, 1.0)
+
+
 def _check_pair(gen_i: "Generator", gen_j: "Generator", d: int) -> None:
     for g in (gen_i, gen_j):
-        require_field_channel(g.smearing, "pairing")
         if g.smearing.dimension != d:
             raise ConfigurationError(
                 f"generator smearing dimension {g.smearing.dimension} != requested {d}"
@@ -104,43 +114,14 @@ def _pair_geometry(gen_i, gen_j):
     return dx, tau
 
 
-def _pair_envelope_power(si: RadialSmearing, sj: RadialSmearing, d: int, dx: float) -> float:
-    p = ft_decay_power(si) + ft_decay_power(sj)
-    if d == 3:
-        p -= 1.0
-        if dx > 0.0:
-            p += 1.0
-    elif dx > 0.0:
-        p += 0.5
-    return max(p, 1.5)
-
-
 def pairing_detail(gen_i, gen_j, d: int, tol: float = 1e-10) -> tuple[complex, float]:
     """Pairing S_ij with its achieved quadrature error estimate."""
     _check_pair(gen_i, gen_j, d)
-    si, sj = gen_i.smearing, gen_j.smearing
     dx, tau = _pair_geometry(gen_i, gen_j)
-
-    def integrand(k):
-        return (
-            _measure(d, k)
-            * _kernel(d, dx, k)
-            * radial_ft(si, k)
-            * radial_ft(sj, k)
-            * np.exp(1j * tau * k)
-        )
-
-    groups = [ft_frequencies(si), ft_frequencies(sj)]
-    if dx > 0.0:
-        groups.append((dx,))
-    return oscillatory_integral(
-        integrand,
-        groups,
-        phase_freq=tau,
-        gauss_decay=ft_gauss_decay(si) + ft_gauss_decay(sj),
-        tol=tol,
-        envelope_power=_pair_envelope_power(si, sj, d, dx),
-    )
+    integrand, groups, decay, power = _radial_integrand(
+        d, dx, tau, (gen_i.smearing, gen_j.smearing))
+    return oscillatory_integral(integrand, groups, phase_freq=tau, gauss_decay=decay,
+                                tol=tol, envelope_power=power)
 
 
 def pairing(gen_i, gen_j, d: int, tol: float = 1e-10) -> complex:
@@ -153,24 +134,12 @@ def pairing_damped(gen_i, gen_j, d: int) -> tuple[complex, float]:
     _check_pair(gen_i, gen_j, d)
     si, sj = gen_i.smearing, gen_j.smearing
     dx, tau = _pair_geometry(gen_i, gen_j)
-
-    def integrand(k):
-        return (
-            _measure(d, k)
-            * _kernel(d, dx, k)
-            * radial_ft(si, k)
-            * radial_ft(sj, k)
-            * np.exp(1j * tau * k)
-        )
-
-    omega = abs(tau) + dx + sum(ft_frequencies(si)) + sum(ft_frequencies(sj))
-    decay = ft_gauss_decay(si) + ft_gauss_decay(sj)
+    integrand, groups, decay, _ = _radial_integrand(d, dx, tau, (si, sj))
     if decay > 0.0:
         # absolutely convergent already; a single plain evaluation suffices
-        return oscillatory_integral(
-            integrand, [ft_frequencies(si), ft_frequencies(sj), (dx,)],
-            phase_freq=tau, gauss_decay=decay, tol=1e-12,
-        )
+        return oscillatory_integral(integrand, groups, phase_freq=tau, gauss_decay=decay,
+                                    tol=1e-12)
+    omega = abs(tau) + dx + sum(ft_frequencies(si)) + sum(ft_frequencies(sj))
     return damped_tail_integral(integrand, omega)
 
 
@@ -263,89 +232,29 @@ def _gaussian_mode_closed(sigma: float, T, dx, amplitude: float = 1.0):
     return amplitude * I, amplitude * dI
 
 
-def mode_function_by_quadrature(gen, t: float, x, d: int, derivative: bool = False,
+def mode_function_by_quadrature(gen, t: float, dx: float, d: int, derivative: bool = False,
                                 tol: float = 1e-10) -> tuple[complex, float]:
-    """Mode-function integral by the radial oscillatory quadrature.
+    """I(t, x) (or its exact dI/dt) at distance ``dx = |x - x0|`` from the
+    generator's center, by the radial oscillatory quadrature.
 
-    Works for every supported profile; for Gaussian d=3 it cross-checks the
-    closed form used by `mode_function`.
+    Works for every supported profile; for Gaussian profiles it cross-checks
+    the closed form (d=3) and fixed-node rule (d=2) of `ModeProfileEvaluator`.
     """
     s = gen.smearing
-    require_field_channel(s, "mode_function")
     if s.dimension != d:
         raise ConfigurationError("smearing dimension mismatch")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise ConfigurationError(f"point has shape {x.shape}, expected ({d},)")
-    dx = float(np.linalg.norm(x - np.asarray(s.center)))
     tau = t - gen.coupling_time  # e^{-ik(t0 - t)} = e^{ik tau}
-
-    def integrand(k):
-        base = _measure(d, k) * _kernel(d, dx, k) * radial_ft(s, k) * np.exp(1j * tau * k)
-        return base * (1j * k) if derivative else base
-
-    p = ft_decay_power(s)
-    if d == 3:
-        p -= 1.0
-        if dx > 0.0:
-            p += 1.0
-    elif dx > 0.0:
-        p += 0.5
-    if derivative:
-        p -= 1.0
-    groups = [ft_frequencies(s)]
-    if dx > 0.0:
-        groups.append((dx,))
-    return oscillatory_integral(
-        integrand, groups, phase_freq=tau, gauss_decay=ft_gauss_decay(s),
-        tol=tol, envelope_power=max(p, 1.0),
-    )
-
-
-def mode_function(gen, t: float, x, d: int, tol: float = 1e-10) -> complex:
-    """I(t, x): the complex integral whose -2 Im / +2 Re give the momentum-
-    channel weighting components of O and f(O)."""
-    s = gen.smearing
-    if s.kind == GAUSSIAN and d == 3:
-        require_field_channel(s, "mode_function")
-        x = np.asarray(x, dtype=float)
-        if x.shape != (d,):
-            raise ConfigurationError(f"point has shape {x.shape}, expected ({d},)")
-        dx = np.linalg.norm(x - np.asarray(s.center))
-        T = gen.coupling_time - t
-        I, _ = _gaussian_mode_closed(s.sigma, T, np.atleast_1d(dx), s.amplitude)
-        return complex(I[0])
-    return mode_function_by_quadrature(gen, t, x, d, derivative=False, tol=tol)[0]
-
-
-def mode_function_dt(gen, t: float, x, d: int, tol: float = 1e-10) -> complex:
-    """Exact time derivative of `mode_function` (integrand carries i k)."""
-    s = gen.smearing
-    if s.kind == GAUSSIAN and d == 3:
-        require_field_channel(s, "mode_function")
-        x = np.asarray(x, dtype=float)
-        if x.shape != (d,):
-            raise ConfigurationError(f"point has shape {x.shape}, expected ({d},)")
-        dx = np.linalg.norm(x - np.asarray(s.center))
-        T = gen.coupling_time - t
-        _, dI = _gaussian_mode_closed(s.sigma, T, np.atleast_1d(dx), s.amplitude)
-        return complex(dI[0])
-    return mode_function_by_quadrature(gen, t, x, d, derivative=True, tol=tol)[0]
-
-
-def sample_mode_function(gen, generator_index: int, t: float, x, d: int) -> ModeFunctionSample:
-    value = mode_function(gen, t, x, d)
-    if not np.isfinite(value.real) or not np.isfinite(value.imag):
-        raise NumericConsistencyError("mode function evaluated to a non-finite value")
-    return ModeFunctionSample(value=value, t=float(t),
-                              x=tuple(float(v) for v in np.asarray(x, float)),
-                              generator_index=generator_index)
+    integrand, groups, decay, power = _radial_integrand(d, float(dx), tau, (s,), derivative)
+    return oscillatory_integral(integrand, groups, phase_freq=tau, gauss_decay=decay,
+                                tol=tol, envelope_power=power)
 
 
 class ModeProfileEvaluator:
     """Evaluates I(t, .) and dI/dt(t, .) for one generator on many radii.
 
-    The node set is fixed at construction (from the largest radius that
+    This is the one mode-function path: Gaussian profiles use the closed
+    form (d=3) or a fixed node set (d=2), hard shells the radial quadrature;
+    a single radius r is ``evaluate([r])``.  The node set is fixed at construction (from the largest radius that
     will be requested), so results are independent of how callers chunk
     the radii -- grid evaluations stay bit-identical under any threading.
     """
@@ -356,7 +265,6 @@ class ModeProfileEvaluator:
         self.d = int(d)
         self.tol = tol
         s = gen.smearing
-        require_field_channel(s, "mode profile")
         self._gaussian_closed = s.kind == GAUSSIAN and d == 3
         self._nodes = None
         if s.kind == GAUSSIAN and d == 2:
@@ -365,6 +273,7 @@ class ModeProfileEvaluator:
             k_max = math.sqrt(184.0 / g)
             omega = abs(tau) + dx_max
             k, w = panel_nodes(k_max, omega, nodes_per_panel=16)
+            # not `_radial_integrand`: this product order fixes the grid bytes
             base = w * _measure(2, k) * radial_ft(s, k) * np.exp(1j * tau * k)
             self._nodes = (k, base, base * (1j * k))
 
@@ -390,11 +299,8 @@ class ModeProfileEvaluator:
         flat = dx.ravel()
         I = np.empty(flat.shape, dtype=complex)
         dI = np.empty(flat.shape, dtype=complex)
-        center = np.asarray(gen.smearing.center)
         for i, r in enumerate(flat):
-            point = center + np.eye(self.d)[0] * r
-            I[i], _ = mode_function_by_quadrature(gen, self.t, point, self.d,
-                                                  derivative=False, tol=self.tol)
-            dI[i], _ = mode_function_by_quadrature(gen, self.t, point, self.d,
+            I[i], _ = mode_function_by_quadrature(gen, self.t, r, self.d, tol=self.tol)
+            dI[i], _ = mode_function_by_quadrature(gen, self.t, r, self.d,
                                                    derivative=True, tol=self.tol)
         return I.reshape(dx.shape), dI.reshape(dx.shape)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericConsistencyError
 from .field_kernel import ModeProfileEvaluator, PairingMatrix, pairing_matrix
-from .smearing import RadialSmearing, require_field_channel
+from .smearing import RadialSmearing
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class Generator:
     detector_gap: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.coupling):
-            raise ConfigurationError("coupling must be finite")
+        if not (math.isfinite(self.coupling) and math.isfinite(self.coupling_time)):
+            raise ConfigurationError("coupling and coupling_time must be finite")
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,6 @@ def build_qic(
     generators = tuple(generators)
     if not generators:
         raise ConfigurationError("need at least one generator")
-    for g in generators:
-        require_field_channel(g.smearing, "build_qic")
     if d is None:
         d = generators[0].smearing.dimension
     if pairing is None:
@@ -199,36 +197,28 @@ def build_qic(
     )
 
 
+def _interleaved_coeffs(modes: QicModeSet) -> np.ndarray:
+    """Coefficient rows of the mode basis (Q_1, P_1, Q_2, ...), shape (2n, 2k)."""
+    B = np.empty((2 * modes.n_modes, modes.q_coeffs.shape[1]))
+    B[0::2] = modes.q_coeffs
+    B[1::2] = modes.p_coeffs
+    return B
+
+
 def symplectic_gram(modes: QicModeSet) -> np.ndarray:
     """(1/i)<[., .]> over the interleaved mode basis (Q_1, P_1, Q_2, ...).
 
     Equals the standard symplectic form for an exactly orthonormal set.
     """
-    n = modes.n_modes
-    vecs = []
-    for m in range(n):
-        vecs.append(modes.q_coeffs[m])
-        vecs.append(modes.p_coeffs[m])
-    out = np.empty((2 * n, 2 * n))
-    for a, u in enumerate(vecs):
-        for b, v in enumerate(vecs):
-            out[a, b] = modes.gram.commutator_over_i(u, v)
-    return out
+    B = _interleaved_coeffs(modes)
+    return B @ modes.gram.symplectic @ B.T
 
 
 def covariance_matrix(modes: QicModeSet) -> np.ndarray:
     """Re second moments over the interleaved mode basis; purity in the
     standard form means this equals identity / 2."""
-    n = modes.n_modes
-    vecs = []
-    for m in range(n):
-        vecs.append(modes.q_coeffs[m])
-        vecs.append(modes.p_coeffs[m])
-    out = np.empty((2 * n, 2 * n))
-    for a, u in enumerate(vecs):
-        for b, v in enumerate(vecs):
-            out[a, b] = modes.gram.second_moment(u, v)
-    return out
+    B = _interleaved_coeffs(modes)
+    return B @ modes.gram.metric @ B.T
 
 
 # --------------------------------------------------------------------------
@@ -317,6 +307,8 @@ def weighting_grid(
     d = modes.dimension
     if spec.dimension != d:
         raise ConfigurationError(f"grid has {spec.dimension} axes, expected {d}")
+    if not math.isfinite(t):
+        raise ConfigurationError("snapshot time must be finite")
     if mode_index is None:
         selected = list(range(modes.n_modes))
     else:

@@ -124,7 +124,7 @@ def _serialize_generator(g: Generator) -> dict:
         "kind": s.kind,
         "dimension": s.dimension,
         "center": list(s.center),
-        "channel": s.channel,
+        "channel": "field",  # frozen: preset fingerprints and reports hash this key
         "sigma": s.sigma,
         "r_inner": s.r_inner,
         "r_outer": s.r_outer,

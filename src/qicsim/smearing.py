@@ -9,34 +9,28 @@ the center phase is applied downstream where pairs of profiles meet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import j1
 
-from .errors import ConfigurationError, QuadratureError, UnsupportedChannelError
+from .errors import ConfigurationError, QuadratureError
 
 GAUSSIAN = "gaussian"
 HARD_SHELL = "hard_shell"
-
-FIELD_CHANNEL = "field"
-MOMENTUM_CHANNEL = "momentum"
 
 
 @dataclass(frozen=True)
 class RadialSmearing:
     """Radially symmetric coupling profile of a detector.
 
-    ``channel`` records whether the profile multiplies the field or its
-    conjugate momentum; momentum-channel profiles are representable but
-    every quadrature operation rejects them.  ``amplitude`` is an overall
-    linear factor (1 for the standard profiles).
+    The profile multiplies the field.  ``amplitude`` is an overall linear
+    factor (1 for the standard profiles).
     """
 
     kind: str
     dimension: int
     center: tuple[float, ...]
-    channel: str = FIELD_CHANNEL
     sigma: float | None = None
     r_inner: float | None = None
     r_outer: float | None = None
@@ -49,42 +43,35 @@ class RadialSmearing:
             raise ConfigurationError(
                 f"center has {len(self.center)} components for dimension {self.dimension}"
             )
-        if self.channel not in (FIELD_CHANNEL, MOMENTUM_CHANNEL):
-            raise ConfigurationError(f"unknown channel {self.channel!r}")
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        if not all(map(math.isfinite, self.center + (self.amplitude,))):
+            raise ConfigurationError("center and amplitude must be finite")
+        # the chained comparisons below also reject NaN
         if self.kind == GAUSSIAN:
-            if self.sigma is None or not self.sigma > 0.0:
-                raise ConfigurationError("gaussian profile needs sigma > 0")
+            if self.sigma is None or not 0.0 < self.sigma < math.inf:
+                raise ConfigurationError("gaussian profile needs finite sigma > 0")
         elif self.kind == HARD_SHELL:
             if self.r_inner is None or self.r_outer is None:
                 raise ConfigurationError("hard shell needs r_inner and r_outer")
-            if not (0.0 <= self.r_inner < self.r_outer):
-                raise ConfigurationError("hard shell needs 0 <= r_inner < r_outer")
+            if not 0.0 <= self.r_inner < self.r_outer < math.inf:
+                raise ConfigurationError("hard shell needs 0 <= r_inner < r_outer < inf")
         else:
             raise ConfigurationError(f"unknown smearing kind {self.kind!r}")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
     @classmethod
-    def gaussian(cls, sigma, center, dimension, channel=FIELD_CHANNEL, amplitude=1.0):
-        return cls(GAUSSIAN, dimension, tuple(center), channel, sigma=float(sigma),
+    def gaussian(cls, sigma, center, dimension, amplitude=1.0):
+        return cls(GAUSSIAN, dimension, tuple(center), sigma=float(sigma),
                    amplitude=float(amplitude))
 
     @classmethod
-    def hard_shell(cls, r_inner, r_outer, center, dimension, channel=FIELD_CHANNEL,
-                   amplitude=1.0):
-        return cls(HARD_SHELL, dimension, tuple(center), channel,
+    def hard_shell(cls, r_inner, r_outer, center, dimension, amplitude=1.0):
+        return cls(HARD_SHELL, dimension, tuple(center),
                    r_inner=float(r_inner), r_outer=float(r_outer),
                    amplitude=float(amplitude))
 
     @classmethod
-    def hard_ball(cls, radius, center, dimension, channel=FIELD_CHANNEL, amplitude=1.0):
-        return cls.hard_shell(0.0, radius, center, dimension, channel, amplitude)
-
-
-def require_field_channel(s: RadialSmearing, what: str) -> None:
-    if s.channel != FIELD_CHANNEL:
-        raise UnsupportedChannelError(
-            f"{what} is not defined for momentum-channel smearings"
-        )
+    def hard_ball(cls, radius, center, dimension, amplitude=1.0):
+        return cls.hard_shell(0.0, radius, center, dimension, amplitude)
 
 
 def spatial_eval(s: RadialSmearing, x) -> float:
@@ -135,7 +122,6 @@ def radial_ft(s: RadialSmearing, k) -> np.ndarray | float:
     Gaussian: (2 pi sigma^2)^{d/2} e^{-sigma^2 k^2 / 2}.  Hard shell:
     difference of two solid-ball (d=3) or solid-disc (d=2) transforms.
     """
-    require_field_channel(s, "radial_ft")
     k_arr = np.asarray(k, dtype=float)
     scalar = k_arr.ndim == 0
     k_arr = np.atleast_1d(k_arr)
@@ -199,7 +185,6 @@ def ft_oracle(s: RadialSmearing, k_vec, tol: float = 1e-11) -> complex:
     panels that resolve the e^{i k.x} oscillation, with panel counts
     doubled until two refinements agree.  Test oracle; slow.
     """
-    require_field_channel(s, "ft_oracle")
     k_vec = np.asarray(k_vec, dtype=float)
     if k_vec.shape != (s.dimension,):
         raise ConfigurationError(

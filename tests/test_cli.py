@@ -81,6 +81,17 @@ class TestCapacityCommand:
         report = json.loads((tmp_path / "inline.json").read_text())
         assert abs(report["capacities"]["B2"]["capacity"] - TABLE1_D3[1]) <= 5e-3 * TABLE1_D3[1]
 
+    def test_non_finite_time_rejected(self, tmp_path, capsys):
+        shells = ((0.0, 1.0), (0.0, 0.9), (1.1, 2.9), (3.1, 4.0))
+        alice, *bobs = ({"kind": "hard_shell", "r_inner": r, "r_outer": rr,
+                         "center": [0, 0, 0], "t": 2.0} for r, rr in shells)
+        scenario = {"alice": {**alice, "t": -float("inf")}, "bobs": bobs}
+        cfg_path = tmp_path / "inf.json"
+        cfg_path.write_text(json.dumps({"dimension": 3, "scenario": scenario}))
+        assert "-Infinity" in cfg_path.read_text()
+        assert main(["capacity", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"dimension": 3, "bogus": 1}))

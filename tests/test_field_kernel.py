@@ -3,18 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qicsim.errors import ConfigurationError, UnsupportedChannelError
+from qicsim.errors import ConfigurationError
 from qicsim.field_kernel import (
     ModeProfileEvaluator,
     _gaussian_mode_closed,
-    mode_function,
     mode_function_by_quadrature,
-    mode_function_dt,
     pairing,
     pairing_damped,
     pairing_detail,
     pairing_matrix,
-    sample_mode_function,
     spacelike_separated,
 )
 from qicsim.qic import Generator
@@ -31,6 +28,13 @@ def gen_gaussian(d, center=None, t=0.0, sigma=SIGMA):
 def gen_shell(d, r, rr, center=None, t=0.0):
     center = center if center is not None else (0.0,) * d
     return Generator(RadialSmearing.hard_shell(r, rr, center, d), coupling_time=t)
+
+
+def mode_values(gen, t, x, d):
+    """I(t, x) and dI/dt(t, x) through the grid evaluator, at r = |x - x0|."""
+    r = float(np.linalg.norm(np.subtract(x, gen.smearing.center)))
+    I, dI = ModeProfileEvaluator(gen, t, d, r).evaluate([r])
+    return complex(I[0]), complex(dI[0])
 
 
 def random_generator(rng, d):
@@ -131,8 +135,8 @@ class TestModeFunction:
         for _ in range(12):
             t = float(rng.uniform(-6, 6))
             x = rng.uniform(-5, 5, size=3)
-            closed = mode_function(g, t, x, 3)
-            quad, _ = mode_function_by_quadrature(g, t, x, 3)
+            closed = mode_values(g, t, x, 3)[0]
+            quad, _ = mode_function_by_quadrature(g, t, float(np.linalg.norm(x)), 3)
             assert abs(closed - quad) <= 1e-8 * (1.0 + abs(closed))
 
     def test_imaginary_part_vanishes_at_coupling_time(self):
@@ -141,7 +145,7 @@ class TestModeFunction:
                        (gen_shell(3, 1.1, 2.9), 3)):
             for r in (0.0, 0.7, 2.4):
                 x = (r,) + (0.0,) * (d - 1)
-                val = mode_function(gen, gen.coupling_time, x, d)
+                val = mode_values(gen, gen.coupling_time, x, d)[0]
                 assert abs(val.imag) <= 1e-12 * (1.0 + abs(val))
 
     def test_2d_lightcone_ridge_value_dual_checked(self):
@@ -150,7 +154,7 @@ class TestModeFunction:
         g = gen_gaussian(2)
         x = (4.0, 0.0)
         t = 4.0
-        primary = mode_function(g, t, x, 2)
+        primary = mode_values(g, t, x, 2)[0]
         assert np.isfinite(primary.real) and np.isfinite(primary.imag)
         assert abs(primary) > 1e-4
 
@@ -168,8 +172,8 @@ class TestModeFunction:
         g = gen_gaussian(3)
         s2 = math.sqrt(2.0) * SIGMA
         for t in (1.0, 4.0):
-            below = mode_function(g, t, (0.999e-3 * s2, 0, 0), 3)
-            above = mode_function(g, t, (1.001e-3 * s2, 0, 0), 3)
+            below = mode_values(g, t, (0.999e-3 * s2, 0, 0), 3)[0]
+            above = mode_values(g, t, (1.001e-3 * s2, 0, 0), 3)[0]
             assert abs(below - above) <= 1e-9 * (1.0 + abs(above))
 
 
@@ -181,8 +185,9 @@ class TestModeFunctionDt:
         for _ in range(50):
             t = float(rng.uniform(-6, 6))
             x = rng.uniform(-5, 5, size=3)
-            fd = (mode_function(g, t + dt, x, 3) - mode_function(g, t - dt, x, 3)) / (2 * dt)
-            exact = mode_function_dt(g, t, x, 3)
+            fd = (mode_values(g, t + dt, x, 3)[0]
+                  - mode_values(g, t - dt, x, 3)[0]) / (2 * dt)
+            exact = mode_values(g, t, x, 3)[1]
             assert abs(fd - exact) <= 1e-6
 
     @pytest.mark.parametrize("gen,d", [
@@ -194,8 +199,9 @@ class TestModeFunctionDt:
         dt = 1e-4
         for t, r in ((1.5, 0.8), (3.0, 3.2)):
             x = (r,) + (0.0,) * (d - 1)
-            fd = (mode_function(gen, t + dt, x, d) - mode_function(gen, t - dt, x, d)) / (2 * dt)
-            exact = mode_function_dt(gen, t, x, d)
+            fd = (mode_values(gen, t + dt, x, d)[0]
+                  - mode_values(gen, t - dt, x, d)[0]) / (2 * dt)
+            exact = mode_values(gen, t, x, d)[1]
             assert abs(fd - exact) <= 1e-6
 
     def test_linearity_in_amplitude(self):
@@ -205,16 +211,16 @@ class TestModeFunctionDt:
             coupling_time=0.0,
         )
         x = (1.3, -0.4, 0.2)
-        assert mode_function_dt(scaled, 2.0, x, 3) == pytest.approx(
-            3.5 * mode_function_dt(base, 2.0, x, 3), rel=1e-12
+        assert mode_values(scaled, 2.0, x, 3)[1] == pytest.approx(
+            3.5 * mode_values(base, 2.0, x, 3)[1], rel=1e-12
         )
         shell = gen_shell(3, 1.1, 2.9)
         shell_scaled = Generator(
             RadialSmearing.hard_shell(1.1, 2.9, (0, 0, 0), 3, amplitude=3.5),
             coupling_time=0.0,
         )
-        assert mode_function_dt(shell_scaled, 2.0, x, 3) == pytest.approx(
-            3.5 * mode_function_dt(shell, 2.0, x, 3), rel=1e-10
+        assert mode_values(shell_scaled, 2.0, x, 3)[1] == pytest.approx(
+            3.5 * mode_values(shell, 2.0, x, 3)[1], rel=1e-10
         )
 
 
@@ -230,28 +236,12 @@ class TestPairingMatrix:
         assert pm.errors.max() <= 1e-9 * (1.0 + np.abs(pm.entries).max())
         assert pm.max_error() == pm.errors.max()
 
-    def test_momentum_channel_rejected(self):
-        g = Generator(
-            RadialSmearing.gaussian(SIGMA, (0, 0, 0), 3, channel="momentum"),
-            coupling_time=0.0,
-        )
-        with pytest.raises(UnsupportedChannelError):
-            pairing(g, g, 3)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigurationError):
             pairing(gen_gaussian(3), gen_gaussian(3), 2)
 
 
 class TestSamplesAndEvaluators:
-    def test_sample_fields(self):
-        g = gen_gaussian(3)
-        s = sample_mode_function(g, 0, 2.0, (1.0, 0.0, 0.0), 3)
-        assert s.generator_index == 0
-        assert s.t == 2.0
-        assert s.x == (1.0, 0.0, 0.0)
-        assert np.isfinite(s.value.real)
-
     def test_profile_evaluator_matches_scalar_paths(self):
         rng = np.random.default_rng(41)
         radii = rng.uniform(0.0, 6.0, size=8)
@@ -259,9 +249,10 @@ class TestSamplesAndEvaluators:
             ev = ModeProfileEvaluator(gen, 3.0, d, float(radii.max()))
             I, dI = ev.evaluate(radii)
             for r, iv, div in zip(radii, I, dI):
-                x = (r,) + (0.0,) * (d - 1)
-                assert abs(iv - mode_function(gen, 3.0, x, d)) <= 1e-9 * (1 + abs(iv))
-                assert abs(div - mode_function_dt(gen, 3.0, x, d)) <= 1e-8 * (1 + abs(div))
+                quad, _ = mode_function_by_quadrature(gen, 3.0, r, d)
+                quad_dt, _ = mode_function_by_quadrature(gen, 3.0, r, d, derivative=True)
+                assert abs(iv - quad) <= 1e-9 * (1 + abs(iv))
+                assert abs(div - quad_dt) <= 1e-8 * (1 + abs(div))
 
     def test_profile_evaluator_chunk_independent(self):
         gen = gen_gaussian(2)

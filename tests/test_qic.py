@@ -120,8 +120,15 @@ class TestBuildQic:
         for m in range(n):
             J[2 * m, 2 * m + 1] = 1.0
             J[2 * m + 1, 2 * m] = -1.0
-        assert np.abs(symplectic_gram(modes) - J).max() <= 1e-8
-        assert np.abs(covariance_matrix(modes) - np.eye(2 * n) / 2).max() <= 1e-8
+        symp, cov = symplectic_gram(modes), covariance_matrix(modes)
+        assert np.abs(symp - J).max() <= 1e-8
+        assert np.abs(cov - np.eye(2 * n) / 2).max() <= 1e-8
+        # the matrix products agree entry by entry with the bilinear forms
+        basis = [v for m in range(n) for v in (modes.q_coeffs[m], modes.p_coeffs[m])]
+        for a, u in enumerate(basis):
+            for b, v in enumerate(basis):
+                assert symp[a, b] == pytest.approx(modes.gram.commutator_over_i(u, v), abs=1e-14)
+                assert cov[a, b] == pytest.approx(modes.gram.second_moment(u, v), abs=1e-14)
 
     def test_random_generator_sets_standard_form(self):
         for seed, d in ((5, 3), (6, 2)):
@@ -264,6 +271,26 @@ class TestWeightingGrid:
         for name in ("q_field", "q_momentum", "p_field", "p_momentum"):
             assert np.array_equal(getattr(one, name), getattr(four, name))
 
+    @pytest.mark.parametrize("d", (2, 3))
+    def test_hard_shell_grid_is_translation_invariant(self, d):
+        # dyadic center and axes make the translated points exact; the
+        # distances 0, 1, sqrt 2, 2, sqrt 5 stay off the light-cone edges
+        # |t - t0| +- r_inner / r_outer = 0.75, 1.5, 2.5, 3.25
+        center = (0.5, -0.25, 0.75)[:d]
+
+        def grid(c):
+            axes = (GridAxis(c[0] - 1.0, c[0] + 2.0, 1.0), GridAxis(c[1] - 1.0, c[1], 1.0))
+            return GridSpec(axes=axes + tuple(c[2:]))
+
+        def shell_grid(c):
+            gen = Generator(RadialSmearing.hard_shell(0.5, 1.25, c, d), coupling_time=0.0)
+            return weighting_grid(build_qic([gen], d), 0, 2.0, grid(c))
+
+        moved, at_origin = shell_grid(center), shell_grid((0.0,) * d)
+        for name in ("q_field", "q_momentum", "p_field", "p_momentum"):
+            a, b = getattr(moved, name), getattr(at_origin, name)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
     def test_mode_index_selection_and_errors(self):
         modes = build_qic(shockwave_scenario(3), 3)
         spec = line_spec(3, 0, 2, 0.5)
@@ -275,3 +302,5 @@ class TestWeightingGrid:
             weighting_grid(modes, 7, 8.0, spec)
         with pytest.raises(ConfigurationError):
             weighting_grid(modes, 0, 8.0, line_spec(2))
+        with pytest.raises(ConfigurationError):
+            weighting_grid(modes, 0, math.inf, spec)
