@@ -40,6 +40,9 @@ _CONFIG_KEYS = {
 _GEN_KEYS = {"kind", "sigma", "r_inner", "r_outer", "center", "t", "coupling", "amplitude"}
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -245,17 +248,18 @@ def _write_grid_csv(path: str, grid_data, sigma: float) -> None:
     for m in grid_data.mode_indices:
         i = m + 1
         cols += [f"q_field_{i}", f"q_mom_{i}", f"p_field_{i}", f"p_mom_{i}"]
-    pts = grid_data.spec.points()
     var_idx = [k for k, a in enumerate(grid_data.spec.axes) if isinstance(a, GridAxis)]
     n_modes = len(grid_data.mode_indices)
-    blocks = []
+    columns = [grid_data.spec.points()[:, var_idx]]
     for row in range(n_modes):
-        blocks += [
+        columns += [
             s_field * grid_data.q_field[row].ravel(),
             s_mom * grid_data.q_momentum[row].ravel(),
             s_field * grid_data.p_field[row].ravel(),
             s_mom * grid_data.p_momentum[row].ravel(),
         ]
+    table = np.column_stack(columns)
+    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"  # "%.17g" % x == _fmt(x)
     with open(path, "w") as fh:
         fh.write(f"# t = {_fmt(grid_data.t)}, dimension = {d}\n")
         for n, a in fixed:
@@ -269,10 +273,10 @@ def _write_grid_csv(path: str, grid_data, sigma: float) -> None:
             f"# *_mom columns carry sigma^((d-1)/2) = {_fmt(s_mom)} (sigma = {_fmt(sigma)})\n"
         )
         fh.write("# " + ",".join(list(varying) + cols) + "\n")
-        for r in range(pts.shape[0]):
-            coords = [_fmt(pts[r, k]) for k in var_idx]
-            vals = [_fmt(b[r]) for b in blocks]
-            fh.write(",".join(coords + vals) + "\n")
+        # one formatting op per block of rows keeps the transient text small
+        for r0 in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[r0 : r0 + _CSV_BLOCK_ROWS]
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def cmd_validate(args) -> int:

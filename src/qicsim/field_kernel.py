@@ -278,29 +278,35 @@ class ModeProfileEvaluator:
             self._nodes = (k, base, base * (1j * k))
 
     def evaluate(self, dx) -> tuple[np.ndarray, np.ndarray]:
+        """I and dI/dt at the radii ``dx`` (any shape), evaluated once per
+        distinct radius and scattered back (lattice grids share radii)."""
         dx = np.asarray(dx, dtype=float)
+        u, inv = np.unique(dx, return_inverse=True)
+        I, dI = self._evaluate_distinct(u)
+        return I[inv].reshape(dx.shape), dI[inv].reshape(dx.shape)
+
+    def _evaluate_distinct(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         gen = self.gen
         if self._gaussian_closed:
             T = gen.coupling_time - self.t
-            return _gaussian_mode_closed(gen.smearing.sigma, T, dx, gen.smearing.amplitude)
+            return _gaussian_mode_closed(gen.smearing.sigma, T, u, gen.smearing.amplitude)
+        I = np.empty(u.shape, dtype=complex)
+        dI = np.empty(u.shape, dtype=complex)
         if self._nodes is not None:
             k, base, base_dt = self._nodes
-            I = np.empty(dx.shape, dtype=complex)
-            dI = np.empty(dx.shape, dtype=complex)
-            flat = dx.ravel()
             chunk = max(1, int(4e6 // max(len(k), 1)))
-            for i0 in range(0, len(flat), chunk):
-                block = flat[i0 : i0 + chunk]
-                M = j0(np.outer(block, k))
-                I.ravel()[i0 : i0 + chunk] = M @ base
-                dI.ravel()[i0 : i0 + chunk] = M @ base_dt
+            for i0 in range(0, len(u), chunk):
+                block = u[i0 : i0 + chunk]
+                n = len(block)
+                # a one-row product takes BLAS's dot path, whose last bits
+                # differ from the matrix-vector path of every longer block
+                M = j0(np.outer(block if n > 1 else np.repeat(block, 2), k))
+                I[i0 : i0 + n] = (M @ base)[:n]
+                dI[i0 : i0 + n] = (M @ base_dt)[:n]
             return I, dI
-        # hard shells: per-point accelerated quadrature (slow path)
-        flat = dx.ravel()
-        I = np.empty(flat.shape, dtype=complex)
-        dI = np.empty(flat.shape, dtype=complex)
-        for i, r in enumerate(flat):
+        # hard shells: per-radius accelerated quadrature (slow path)
+        for i, r in enumerate(u):
             I[i], _ = mode_function_by_quadrature(gen, self.t, r, self.d, tol=self.tol)
             dI[i], _ = mode_function_by_quadrature(gen, self.t, r, self.d,
                                                    derivative=True, tol=self.tol)
-        return I.reshape(dx.shape), dI.reshape(dx.shape)
+        return I, dI

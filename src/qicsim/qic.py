@@ -17,6 +17,7 @@ equivalent to the symplectic ones.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,8 +301,9 @@ def weighting_grid(
 ) -> FieldGrid:
     """Sample the four weighting functions of one mode (or all modes).
 
-    Each generator's mode-function integral is evaluated once per grid
-    point and shared across modes.  The field-channel components come from
+    Each generator's mode-function integral is evaluated once per distinct
+    radius and shared across modes; ``threads`` is capped at the CPUs
+    this process may run on.  The field-channel components come from
     the exact time-derivative integral, not finite differences.
     """
     d = modes.dimension
@@ -309,6 +311,9 @@ def weighting_grid(
         raise ConfigurationError(f"grid has {spec.dimension} axes, expected {d}")
     if not math.isfinite(t):
         raise ConfigurationError("snapshot time must be finite")
+    if threads < 1:
+        raise ConfigurationError(f"threads must be at least 1, got {threads}")
+    threads = min(threads, len(os.sched_getaffinity(0)))
     if mode_index is None:
         selected = list(range(modes.n_modes))
     else:
@@ -333,7 +338,8 @@ def weighting_grid(
         if threads > 1 and npts > 1024:
             from concurrent.futures import ThreadPoolExecutor
 
-            chunks = np.array_split(np.arange(npts), threads * 4)
+            # sorted by radius, so equal radii share a chunk and are evaluated once
+            chunks = np.array_split(np.argsort(dx, kind="stable"), threads * 4)
             I = np.empty(npts, dtype=complex)
             dI = np.empty(npts, dtype=complex)
             with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -177,6 +177,9 @@ def _panel_gl(lo: float, hi: float, n_panels: int, nodes: int = 12):
     return pts.ravel(), (np.broadcast_to(w, pts.shape) * half).ravel()
 
 
+_ORACLE_ROWS = 256  # radial rows per block of ft_oracle's phase matrix
+
+
 def ft_oracle(s: RadialSmearing, k_vec, tol: float = 1e-11) -> complex:
     """Fourier transform by direct spatial quadrature (radial x angular).
 
@@ -211,8 +214,13 @@ def ft_oracle(s: RadialSmearing, k_vec, tol: float = 1e-11) -> complex:
             th, wth = _panel_gl(0.0, 2.0 * math.pi, n_th)
             ang = wth
             radial = r * profile(r) * wr
-        phase = np.exp(1j * kmag * np.outer(r, np.cos(th)))
-        return complex(radial @ phase @ ang)
+        # the phase matrix e^{i k r cos th} in row blocks bounds the memory
+        cos_th = np.cos(th)
+        acc = np.zeros(len(th), dtype=complex)
+        for i0 in range(0, len(r), _ORACLE_ROWS):
+            rows = slice(i0, i0 + _ORACLE_ROWS)
+            acc += radial[rows] @ np.exp(1j * kmag * np.outer(r[rows], cos_th))
+        return complex(acc @ ang)
 
     prev = evaluate(1)
     change = math.inf

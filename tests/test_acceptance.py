@@ -7,7 +7,7 @@ import numpy as np
 from _twin import brute_force_distribution
 
 from qicsim.channel import SUBSET_ORDER, joint_distribution, subset_label
-from qicsim.field_kernel import ModeProfileEvaluator, pairing, pairing_damped
+from qicsim.field_kernel import ModeProfileEvaluator, pairing
 from qicsim.qic import GridAxis, GridSpec, build_qic, weighting_grid
 from qicsim.scenarios import shockwave_scenario, single_qic_scenario
 from qicsim.smearing import RadialSmearing, ft_oracle, radial_ft
@@ -161,7 +161,8 @@ def test_acceptance_6_figure_data():
     assert ok, problems
 
 
-def test_acceptance_7_oracle_equivalences(table1_3, table1_2, moments_3, moments_2):
+def test_acceptance_7_oracle_equivalences(table1_3, table1_2, moments_3, moments_2,
+                                          damped_pairings):
     problems = []
 
     # radial transform vs direct spatial quadrature
@@ -189,10 +190,11 @@ def test_acceptance_7_oracle_equivalences(table1_3, table1_2, moments_3, moments
     # dual-quadrature pairing agreement
     worst_pair = 0.0
     for sc, d in ((table1_3, 3), (table1_2, 2)):
-        for gi, gj in ((sc.bobs[1], sc.bobs[1]), (sc.bobs[1], sc.alice),
-                       (sc.bobs[2], sc.alice)):
+        for gi, gj, key in ((sc.bobs[1], sc.bobs[1], (d, 1, 1)),
+                            (sc.bobs[1], sc.alice, (d, 1, "alice")),
+                            (sc.bobs[2], sc.alice, (d, 2, "alice"))):
             fast = pairing(gi, gj, d)
-            slow, _ = pairing_damped(gi, gj, d)
+            slow, _ = damped_pairings[key]
             worst_pair = max(worst_pair, abs(fast - slow) / (1.0 + abs(fast)))
     if worst_pair > 1e-8:
         problems.append(f"dual-quadrature deviation {worst_pair:.2e}")
@@ -222,9 +224,9 @@ def test_acceptance_7_oracle_equivalences(table1_3, table1_2, moments_3, moments
         sig = np.zeros(n)
         for i in range(n):
             for j in range(i, n):
-                val, _ = pairing_damped(sc.bobs[i], sc.bobs[j], d)
+                val, _ = damped_pairings[d, i, j]
                 cov[i, j] = cov[j, i] = val.real
-            val, _ = pairing_damped(sc.bobs[i], sc.alice, d)
+            val, _ = damped_pairings[d, i, "alice"]
             sig[i] = val.imag
         lams = [b.coupling for b in sc.bobs]
         for bit in (0, 1):

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from qicsim import cli
 from qicsim.cli import main
+from qicsim.qic import FieldGrid, GridAxis, GridSpec
 
 TABLE1_D3 = (0.0, 3.39083e-5, 0.0, 3.45126e-5, 3.73605e-5, 0.0, 3.79689e-5)
 SUBSETS = ("B1", "B2", "B3", "B1B2", "B2B3", "B1B3", "B1B2B3")
@@ -139,6 +141,50 @@ class TestEvolveCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert main(args + ["--out", str(c), "--threads", "3"]) == 0
         assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys):
+        code = main(["evolve", "--dim", "3", "--preset", "single", "--t", "2",
+                     "--grid", "x=-1:1:0.5,y=0,z=0", "--threads", "0",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", (1.0, 0.3))
+    def test_csv_bytes_match_per_value_format(self, tmp_path, sigma):
+        # awkward values, a fixed axis and more rows than one formatting block
+        spec = GridSpec(axes=(GridAxis(-1.0, 1.0, 0.025), GridAxis(0.0, 1.5, 0.025), 0.5))
+        npts = int(np.prod(spec.shape))
+        assert npts > cli._CSV_BLOCK_ROWS
+        rng = np.random.default_rng(5)
+        awkward = np.array([-0.0, 5e-324, 1e300, 0.1, 2.0, -1.0 / 3.0])
+        fields = [rng.choice(awkward, size=(2,) + spec.shape) for _ in range(4)]
+        fg = FieldGrid(3, 2.5, spec, (0, 2), *fields)
+        out = tmp_path / "grid.csv"
+        cli._write_grid_csv(str(out), fg, sigma)
+
+        s_field, s_mom = sigma**2, sigma
+        cols = [f"{n}_{i}" for i in (1, 3) for n in ("q_field", "q_mom", "p_field", "p_mom")]
+        lines = [
+            "# t = 2.5, dimension = 3",
+            "# fixed axis z = 0.5",
+            "# q_* weight the field (q_field) and conjugate momentum (q_mom) in the",
+            "# first quadrature of each mode; p_* do the same for the second.",
+            f"# dimensionless scaling: *_field columns carry sigma^((d+1)/2) = {s_field:.17g},",
+            f"# *_mom columns carry sigma^((d-1)/2) = {s_mom:.17g} (sigma = {sigma:.17g})",
+            "# " + ",".join(["x", "y"] + cols),
+        ]
+        pts = spec.points()
+        columns = []
+        for row in range(2):
+            for arr, scale in zip(fields, (s_field, s_mom, s_field, s_mom)):
+                columns.append(scale * arr[row].ravel())
+        for r in range(npts):
+            lines.append(",".join(f"{x:.17g}" for x in [pts[r, 0], pts[r, 1]]
+                                  + [c[r] for c in columns]))
+        text = out.read_text()
+        assert text == "\n".join(lines) + "\n"
+        if sigma == 1.0:
+            assert all(v in text for v in (",-0,", ",4.9406564584124654e-324,", ",1.0000000000000001e+300,", ",2,"))
 
     def test_default_times_write_one_file_each(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

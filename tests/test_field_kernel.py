@@ -113,17 +113,18 @@ class TestMicrocausality:
             assert abs(pairing(g1, g2, d).imag) <= 1e-9
 
 
-def test_dual_quadrature_agreement_scenario_pairs(table1_3, table1_2):
+def test_dual_quadrature_agreement_scenario_pairs(table1_3, table1_2, damped_pairings):
     pairs = []
     for sc, d in ((table1_3, 3), (table1_2, 2)):
-        pairs.append((sc.bobs[1], sc.bobs[1], d))  # shell self-pairing (slow tail)
-        pairs.append((sc.bobs[1], sc.bobs[2], d))
-        pairs.append((sc.bobs[0], sc.alice, d))
-        pairs.append((sc.bobs[1], sc.alice, d))
-        pairs.append((sc.bobs[2], sc.alice, d))
-    for gi, gj, d in pairs:
+        pairs.append((sc.bobs[1], sc.bobs[1], (d, 1, 1)))  # shell self-pairing (slow tail)
+        pairs.append((sc.bobs[1], sc.bobs[2], (d, 1, 2)))
+        pairs.append((sc.bobs[0], sc.alice, (d, 0, "alice")))
+        pairs.append((sc.bobs[1], sc.alice, (d, 1, "alice")))
+        pairs.append((sc.bobs[2], sc.alice, (d, 2, "alice")))
+    for gi, gj, key in pairs:
+        d = key[0]
         fast, err_fast = pairing_detail(gi, gj, d)
-        slow, err_slow = pairing_damped(gi, gj, d)
+        slow, err_slow = damped_pairings[key]
         assert abs(fast - slow) <= 1e-8 * (1.0 + abs(fast)), (d, fast, slow)
         assert err_fast <= 1e-9 * (1.0 + abs(fast))
 
@@ -263,3 +264,29 @@ class TestSamplesAndEvaluators:
         I_b, dI_b = ev.evaluate(radii[40:])
         assert np.array_equal(np.concatenate([I_a, I_b]), I_all)
         assert np.array_equal(np.concatenate([dI_a, dI_b]), dI_all)
+
+    @pytest.mark.parametrize("gen, d", ((gen_gaussian(3), 3), (gen_gaussian(2), 2),
+                                        (gen_shell(3, 0.5, 1.25), 3)),
+                             ids=("closed-form-d3", "fixed-nodes-d2", "hard-shell-d3"))
+    def test_profile_evaluator_evaluates_each_distinct_radius_once(self, gen, d, monkeypatch):
+        # radii off the shell's light-cone edges |t - t0| +- r = 0.75, 1.5, 2.5, 3.25
+        import qicsim.field_kernel as fk
+
+        distinct = np.array([0.0, 1e-4, 0.3, 1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0)])
+        rng = np.random.default_rng(43)
+        dx = rng.permutation(np.repeat(distinct, 3)).reshape(3, -1)
+        ev = ModeProfileEvaluator(gen, 2.0, d, float(distinct.max()))
+        calls = []
+        quadrature = fk.mode_function_by_quadrature
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return quadrature(*args, **kwargs)
+
+        monkeypatch.setattr(fk, "mode_function_by_quadrature", counted)
+        I, dI = ev.evaluate(dx)
+        assert I.shape == dI.shape == dx.shape
+        assert len(calls) == (2 * len(distinct) if gen.smearing.kind == "hard_shell" else 0)
+        for r, iv, div in zip(dx.ravel(), I.ravel(), dI.ravel()):
+            one, one_dt = ev.evaluate([r])
+            assert iv == one[0] and div == one_dt[0]

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -264,12 +265,48 @@ class TestWeightingGrid:
         assert tail2 > tail3
 
     def test_threads_do_not_change_bytes(self):
+        # emitters at x = 6.5, 8, 9.5 on y = 0: on lattice points of the first
+        # grid (shared radii), between those of the second; both grids have
+        # more than the 1024 points below which the evaluation stays serial
         modes = build_qic(shockwave_scenario(2), 2)
-        spec = GridSpec(axes=(GridAxis(0.0, 16.0, 0.25), GridAxis(-2.0, 2.0, 0.5)))
-        one = weighting_grid(modes, None, 8.0, spec, threads=1)
-        four = weighting_grid(modes, None, 8.0, spec, threads=4)
-        for name in ("q_field", "q_momentum", "p_field", "p_momentum"):
-            assert np.array_equal(getattr(one, name), getattr(four, name))
+        for x0 in (0.0, 0.1):
+            spec = GridSpec(axes=(GridAxis(x0, x0 + 16.0, 0.25), GridAxis(-4.0, 4.0, 0.25)))
+            one = weighting_grid(modes, None, 8.0, spec, threads=1)
+            two = weighting_grid(modes, None, 8.0, spec, threads=2)
+            for name in ("q_field", "q_momentum", "p_field", "p_momentum"):
+                assert np.array_equal(getattr(one, name), getattr(two, name))
+
+    def test_threads_clamped_to_cpus(self, monkeypatch):
+        import concurrent.futures
+
+        workers = []
+
+        class InlinePool:
+            """Records the pool size asked for; runs the work in this thread."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+        modes = build_qic(single_qic_scenario(3), 3)
+        spec = GridSpec(axes=(GridAxis(-2.0, 2.0, 0.1), GridAxis(-2.0, 2.0, 0.1), 0.0))
+        ncpu = len(os.sched_getaffinity(0))
+        # large, but small enough that an unclamped chunk count stays cheap
+        many = weighting_grid(modes, 0, 2.0, spec, threads=64 * ncpu)
+        assert workers == ([ncpu] if ncpu > 1 else [])
+        one = weighting_grid(modes, 0, 2.0, spec, threads=1)
+        assert np.array_equal(many.q_momentum, one.q_momentum)
 
     @pytest.mark.parametrize("d", (2, 3))
     def test_hard_shell_grid_is_translation_invariant(self, d):
@@ -304,3 +341,5 @@ class TestWeightingGrid:
             weighting_grid(modes, 0, 8.0, line_spec(2))
         with pytest.raises(ConfigurationError):
             weighting_grid(modes, 0, math.inf, spec)
+        with pytest.raises(ConfigurationError):
+            weighting_grid(modes, 0, 8.0, spec, threads=0)
