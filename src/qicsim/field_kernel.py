@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -84,8 +85,11 @@ def _radial_integrand(d: int, dx: float, tau: float, profiles, derivative: bool 
     """
     def integrand(k):
         out = _measure(d, k) * _kernel(d, dx, k)
-        for s in profiles:
-            out *= radial_ft(s, k)  # in place, as numpy does for a chained product
+        for s, run in groupby(profiles):  # a self-pairing transforms its profile once
+            rho = radial_ft(s, k)
+            for _ in run:
+                out *= rho  # in place, as numpy does for a chained product
+            del rho  # freed before the next transform, which sets the peak memory
         out = out * np.exp(1j * tau * k)
         return out * (1j * k) if derivative else out
 

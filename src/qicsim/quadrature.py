@@ -30,9 +30,9 @@ Strategy
   multiplies the integrand by e^{-eta k}, integrates the now absolutely
   convergent integral for a ladder of eta values, and extrapolates eta -> 0
   with a log-aware model (the eta^2 ln eta term is real; a pure polynomial
-  extrapolation stalls on it).  It shares no acceleration code with the
-  primary path and is used by the test suite as the second quadrature
-  scheme.
+  extrapolation stalls on it).  One integrand pass serves all eta rungs.
+  It shares no acceleration code with the primary path and is used by the
+  test suite as the second quadrature scheme.
 
 All routines return ``(value, error_estimate)`` so callers can propagate
 achieved accuracy instead of assuming it.
@@ -55,15 +55,18 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
+def _segment_nodes(edges: np.ndarray, nodes: int):
+    """Gauss-Legendre nodes (one row per segment), weights and half-lengths."""
+    x, w = _gauss_legendre(nodes)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * x[None, :], w, half
+
+
 def segment_integrals(f, edges: np.ndarray, nodes: int = 24) -> np.ndarray:
     """Gauss-Legendre integral of ``f`` over each consecutive pair of edges."""
-    x, w = _gauss_legendre(nodes)
-    a = edges[:-1]
-    b = edges[1:]
-    half = 0.5 * (b - a)[:, None]
-    pts = 0.5 * (a + b)[:, None] + half * x[None, :]
+    pts, w, half = _segment_nodes(edges, nodes)
     vals = np.asarray(f(pts.ravel())).reshape(pts.shape)
-    return (vals * w[None, :]).sum(axis=1) * half[:, 0]
+    return (vals * w[None, :]).sum(axis=1) * half
 
 
 def wynn_epsilon(partial_sums: np.ndarray) -> np.ndarray:
@@ -176,6 +179,8 @@ def oscillatory_integral(
         h = min(math.pi / max(omega, 0.5), 1.0 / math.sqrt(gauss_decay))
         k_cut = math.sqrt(184.0 / gauss_decay)
         n = max(int(math.ceil(k_cut / h)), 4)
+        if n > max_segments:
+            raise QuadratureError(f"Gaussian integral: {n} segments > max_segments={max_segments}")
         edges = h * np.arange(n + 1)
         seg = segment_integrals(integrand, edges, nodes)
         total = seg.sum()
@@ -256,23 +261,26 @@ def damped_tail_integral(
     Integrates f(k) e^{-eta k} (absolutely convergent) for eta = eta0 / 2^j
     and extrapolates eta -> 0 with the model
     a0 + a1 eta + a2 eta^2 + a3 eta^2 ln eta + a4 eta^3 + a5 eta^3 ln eta.
+    One integrand pass over the smallest eta's grid (segments of pi/(omega+1))
+    serves every rung; rung eta damps and sums only its prefix, k <= 45/eta.
     Slow but accurate; intended for cross-checks, not production paths.
     """
     h = math.pi / (omega + 1.0)
     etas = eta0 * 0.5 ** np.arange(n_eta)
-    vals = np.empty(n_eta, dtype=complex)
-    for j, eta in enumerate(etas):
-        k_stop = 45.0 / eta
-        n = int(math.ceil(k_stop / h))
-        total = 0.0 + 0.0j
-        chunk = 50000
-        for i0 in range(0, n, chunk):
-            i1 = min(i0 + chunk, n)
-            edges = h * np.arange(i0, i1 + 1)
-            total += segment_integrals(
-                lambda k: integrand(k) * np.exp(-eta * k), edges, nodes
-            ).sum()
-        vals[j] = total
+    counts = [int(math.ceil(45.0 / eta / h)) for eta in etas]
+    chunk, block = 50000, 2500  # rungs sum per chunk (fixes the bytes); block divides chunk
+    seg = np.empty((n_eta, chunk), dtype=complex)
+    vals = np.zeros(n_eta, dtype=complex)
+    for i0 in range(0, counts[-1], block):
+        edges = h * np.arange(i0, min(i0 + block, counts[-1]) + 1)
+        k, w, half = _segment_nodes(edges, nodes)
+        f = np.asarray(integrand(k.ravel())).reshape(k.shape)
+        for j, n in enumerate(counts):
+            m, c0 = min(n - i0, len(half)), i0 % chunk  # m: rung j's segments here
+            if m > 0:
+                seg[j, c0 : c0 + m] = (f[:m] * np.exp(-etas[j] * k[:m]) * w).sum(axis=1) * half[:m]
+                if i0 + m == n or c0 + m == chunk:  # rung j's chunk is complete
+                    vals[j] += seg[j, : c0 + m].sum()
     cols = np.stack(
         [
             np.ones_like(etas),

@@ -1,9 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from qicsim.errors import ConfigurationError
+from qicsim.errors import ConfigurationError, QuadratureError
 from qicsim.field_kernel import (
     ModeProfileEvaluator,
     _gaussian_mode_closed,
@@ -290,3 +291,39 @@ class TestSamplesAndEvaluators:
         for r, iv, div in zip(dx.ravel(), I.ravel(), dI.ravel()):
             one, one_dt = ev.evaluate([r])
             assert iv == one[0] and div == one_dt[0]
+
+
+def test_self_pairing_transforms_its_profile_once(monkeypatch):
+    import qicsim.field_kernel as fk
+
+    transformed, integrated = [], []
+    ft, integral = fk.radial_ft, fk.oscillatory_integral
+
+    def counted_ft(s, k):
+        transformed.append(np.size(k))
+        return ft(s, k)
+
+    def counted_integral(integrand, *args, **kwargs):
+        def counted(k):
+            integrated.append(np.size(k))
+            return integrand(k)
+        return integral(counted, *args, **kwargs)
+
+    monkeypatch.setattr(fk, "radial_ft", counted_ft)
+    monkeypatch.setattr(fk, "oscillatory_integral", counted_integral)
+    shell = gen_shell(3, 0.5, 1.25)
+    twin = gen_shell(3, 0.5, 1.25)  # equal profile, another object
+    other = gen_shell(3, 0.5, 1.5, t=0.3)
+    for gi, gj, per_point in ((shell, shell, 1), (shell, twin, 1), (shell, other, 2)):
+        transformed.clear()
+        integrated.clear()
+        pairing(gi, gj, 3)
+        assert sum(transformed) == per_point * sum(integrated) > 0
+
+
+def test_far_gaussian_pair_fails_fast():
+    t0 = time.perf_counter()
+    message = r"Gaussian integral: \d+ segments > max_segments=131072"
+    with pytest.raises(QuadratureError, match=message):
+        pairing(gen_gaussian(3), gen_gaussian(3, center=(1e6, 0.0, 0.0)), 3)
+    assert time.perf_counter() - t0 < 1.0
