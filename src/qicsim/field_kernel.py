@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import dawsn, j0
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, QuadratureError
 from .quadrature import damped_tail_integral, oscillatory_integral, panel_nodes
 from .smearing import (
     GAUSSIAN,
@@ -155,7 +155,11 @@ def pairing_matrix(generators, d: int, tol: float = 1e-10) -> PairingMatrix:
     errors = np.zeros((n, n), dtype=float)
     for i in range(n):
         for j in range(i, n):
-            val, err = pairing_detail(generators[i], generators[j], d, tol)
+            try:
+                val, err = pairing_detail(generators[i], generators[j], d, tol)
+            except QuadratureError as exc:
+                raise QuadratureError(f"pairing ({i}, {j}): {exc}", exc.value,
+                                      exc.estimate) from exc
             entries[i, j] = val
             errors[i, j] = err
             if j != i:
@@ -310,7 +314,13 @@ class ModeProfileEvaluator:
             return I, dI
         # hard shells: per-radius accelerated quadrature (slow path)
         for i, r in enumerate(u):
-            I[i], _ = mode_function_by_quadrature(gen, self.t, r, self.d, tol=self.tol)
-            dI[i], _ = mode_function_by_quadrature(gen, self.t, r, self.d,
-                                                   derivative=True, tol=self.tol)
+            for out, derivative in ((I, False), (dI, True)):
+                try:
+                    out[i], _ = mode_function_by_quadrature(gen, self.t, r, self.d,
+                                                            derivative, self.tol)
+                except QuadratureError as exc:
+                    raise QuadratureError(
+                        f"{'dI/dt' if derivative else 'I'} at r={float(r)}, t={self.t}, "
+                        f"coupling_time={gen.coupling_time}: {exc}", exc.value, exc.estimate,
+                    ) from exc
         return I, dI

@@ -187,6 +187,11 @@ def ft_oracle(s: RadialSmearing, k_vec, tol: float = 1e-11) -> complex:
     and the angular integrals are evaluated by composite Gauss-Legendre
     panels that resolve the e^{i k.x} oscillation, with panel counts
     doubled until two refinements agree.  Test oracle; slow.
+
+    The angular rule is folded onto half its nodes.  They are mirror-symmetric
+    (12 per panel, none on the mirror point), and the phase at a mirror node
+    is the conjugate (d=3, th <-> pi - th) or the same (d=2, th <-> 2 pi - th),
+    so the rule's sum is the real sum of its cos(k r cos th) terms up to rounding.
     """
     k_vec = np.asarray(k_vec, dtype=float)
     if k_vec.shape != (s.dimension,):
@@ -202,7 +207,7 @@ def ft_oracle(s: RadialSmearing, k_vec, tol: float = 1e-11) -> complex:
         r_lo, r_hi = s.r_inner, s.r_outer
         profile = lambda r: np.ones_like(r)
 
-    def evaluate(refine: int) -> complex:
+    def evaluate(refine: int) -> float:
         n_r = refine * (int(math.ceil(kmag * (r_hi - r_lo) / math.pi)) + 8)
         n_th = refine * (int(math.ceil(kmag * r_hi / math.pi)) + 8)
         r, wr = _panel_gl(r_lo, r_hi, n_r)
@@ -214,13 +219,15 @@ def ft_oracle(s: RadialSmearing, k_vec, tol: float = 1e-11) -> complex:
             th, wth = _panel_gl(0.0, 2.0 * math.pi, n_th)
             ang = wth
             radial = r * profile(r) * wr
-        # the phase matrix e^{i k r cos th} in row blocks bounds the memory
-        cos_th = np.cos(th)
-        acc = np.zeros(len(th), dtype=complex)
+        h = len(th) // 2
+        ang = ang[:h] + ang[::-1][:h]
+        cos_th = np.cos(th[:h])
+        # the phase matrix cos(k r cos th) in row blocks bounds the memory
+        acc = np.zeros(h)
         for i0 in range(0, len(r), _ORACLE_ROWS):
             rows = slice(i0, i0 + _ORACLE_ROWS)
-            acc += radial[rows] @ np.exp(1j * kmag * np.outer(r[rows], cos_th))
-        return complex(acc @ ang)
+            acc += radial[rows] @ np.cos(np.outer(kmag * r[rows], cos_th))
+        return float(acc @ ang)
 
     prev = evaluate(1)
     change = math.inf
@@ -232,7 +239,7 @@ def ft_oracle(s: RadialSmearing, k_vec, tol: float = 1e-11) -> complex:
             return s.amplitude * cur * phase
         prev = cur
     raise QuadratureError(
-        f"ft_oracle did not converge (last change {change:.2e})",
+        f"ft_oracle did not converge for {s.kind} at |k|={kmag:.6g} (last change {change:.2e})",
         value=prev,
         estimate=change,
     )

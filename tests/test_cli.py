@@ -149,6 +149,16 @@ class TestEvolveCommand:
         assert code == 2
         assert "threads" in capsys.readouterr().err
 
+    def test_quadrature_stall_names_radius(self, tmp_path, capsys):
+        # the grid points at r = sqrt(2.5) sit 0.019 inside a hard-shell light-cone edge
+        cfg = tmp_path / "shell.json"
+        cfg.write_text(json.dumps({"dimension": 2, "scenario": {"generators": [
+            {"kind": "hard_shell", "r_inner": 0.5, "r_outer": 1.25, "center": [0, 0], "t": 0}]}}))
+        code = main(["evolve", "--config", str(cfg), "--t", "2.1",
+                     "--grid", "x=-3:3:0.5,y=-1:1:0.5", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "dI/dt at r=1.58113883" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sigma", (1.0, 0.3))
     def test_csv_bytes_match_per_value_format(self, tmp_path, sigma):
         # awkward values, a fixed axis and more rows than one formatting block

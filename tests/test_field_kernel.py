@@ -327,3 +327,24 @@ def test_far_gaussian_pair_fails_fast():
     with pytest.raises(QuadratureError, match=message):
         pairing(gen_gaussian(3), gen_gaussian(3, center=(1e6, 0.0, 0.0)), 3)
     assert time.perf_counter() - t0 < 1.0
+    # the matrix names the pair, and keeps the stalled value and estimate
+    far = [gen_gaussian(3), gen_gaussian(3, center=(1e6, 0.0, 0.0))]
+    with pytest.raises(QuadratureError, match=r"pairing \(0, 1\): " + message) as info:
+        pairing_matrix(far, 3)
+    assert isinstance(info.value.__cause__, QuadratureError)
+    assert (info.value.value, info.value.estimate) == (
+        info.value.__cause__.value, info.value.__cause__.estimate)
+
+
+def test_hard_shell_stall_names_radius_and_time():
+    # r = sqrt(2.5) lies 0.019 inside the light-cone edge t - r_inner = 1.6,
+    # where the dI/dt integral stalls at the segment cap
+    gen = gen_shell(2, 0.5, 1.25)
+    with pytest.raises(QuadratureError, match=r"dI/dt at r=1\.58113883\d*, t=2\.1, "
+                                               r"coupling_time=0\.0: radial integral stalled"
+                       ) as info:
+        ModeProfileEvaluator(gen, 2.1, 2, 2.0).evaluate([math.sqrt(2.5)])
+    cause = info.value.__cause__
+    assert isinstance(cause, QuadratureError)
+    assert (info.value.value, info.value.estimate) == (cause.value, cause.estimate)
+    assert info.value.estimate > 0.0

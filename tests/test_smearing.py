@@ -3,10 +3,13 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qicsim.errors import ConfigurationError
+from qicsim.errors import ConfigurationError, QuadratureError
 from qicsim.smearing import (
     RadialSmearing,
+    _panel_gl,
     ft_oracle,
     radial_ft,
     spatial_eval,
@@ -158,3 +161,112 @@ def test_oracle_cross_checks_radial_ft_shell():
     k = 0.5
     direct = ft_oracle(s, (0.0, 0.0, k))
     assert direct.real == pytest.approx(radial_ft(s, k), rel=1e-9)
+
+
+def ft_oracle_full_nodes(s, k_vec, tol=1e-11):
+    """Reference: the unfolded rule, a complex phase matrix over every
+    angular node (the algorithm the folded `ft_oracle` replaces).  Also
+    returns the radial and angular panel counts of each refinement."""
+    k_vec = np.asarray(k_vec, dtype=float)
+    kmag = float(np.linalg.norm(k_vec))
+    if s.kind == "gaussian":
+        r_lo, r_hi = 0.0, 9.0 * s.sigma
+        profile = lambda r: np.exp(-(r * r) / (2.0 * s.sigma**2))
+    else:
+        r_lo, r_hi = s.r_inner, s.r_outer
+        profile = lambda r: np.ones_like(r)
+    panels = []
+
+    def evaluate(refine):
+        n_r = refine * (int(math.ceil(kmag * (r_hi - r_lo) / math.pi)) + 8)
+        n_th = refine * (int(math.ceil(kmag * r_hi / math.pi)) + 8)
+        panels.append((n_r, n_th))
+        r, wr = _panel_gl(r_lo, r_hi, n_r)
+        if s.dimension == 3:
+            th, wth = _panel_gl(0.0, math.pi, n_th)
+            ang = np.sin(th) * wth
+            radial = 2.0 * np.pi * r * r * profile(r) * wr
+        else:
+            th, wth = _panel_gl(0.0, 2.0 * math.pi, n_th)
+            ang = wth
+            radial = r * profile(r) * wr
+        cos_th = np.cos(th)
+        acc = np.zeros(len(th), dtype=complex)
+        for i0 in range(0, len(r), 256):
+            rows = slice(i0, i0 + 256)
+            acc += radial[rows] @ np.exp(1j * kmag * np.outer(r[rows], cos_th))
+        return complex(acc @ ang)
+
+    prev = evaluate(1)
+    for refine in (2, 4, 8):
+        cur = evaluate(refine)
+        if abs(cur - prev) <= tol * (1.0 + abs(cur)):
+            return s.amplitude * cur * np.exp(1j * float(np.dot(k_vec, s.center))), panels
+        prev = cur
+    raise AssertionError("reference did not converge")
+
+
+@pytest.mark.parametrize("profile", SCENARIO_PROFILES, ids=lambda s: f"{s.kind}-d{s.dimension}")
+def test_folded_oracle_matches_full_node_reference(profile):
+    scale = profile.sigma if profile.kind == "gaussian" else profile.r_outer
+    r_hi = 9.0 * profile.sigma if profile.kind == "gaussian" else profile.r_outer
+    direction = np.array([2.0, -1.0, 2.0][: profile.dimension])
+    direction /= np.linalg.norm(direction)
+    # refine-1 angular panel counts 11 (odd), 10 (even) and the suite's largest |k|
+    odd_even = set()
+    for kmag in (2.5 * math.pi / r_hi, 1.5 * math.pi / r_hi, 50.0 / scale):
+        ref, panels = ft_oracle_full_nodes(profile, kmag * direction)
+        odd_even.add(panels[0][1] % 2)
+        val = ft_oracle(profile, kmag * direction)
+        assert abs(val - ref) <= 1e-12 * (1.0 + abs(ref))
+    assert odd_even == {0, 1}
+
+
+@pytest.mark.parametrize("hi", (math.pi, 2.0 * math.pi))
+@pytest.mark.parametrize("n_panels", (1, 2, 11, 152, 193))
+def test_angular_panel_nodes_are_mirror_symmetric(n_panels, hi):
+    # the folded angular rule pairs node j with node len - 1 - j; 193
+    # panels show the largest deviation (2.25 ulp of hi) up to n = 400
+    th, _ = _panel_gl(0.0, hi, n_panels)
+    assert len(th) % 2 == 0
+    assert np.max(np.abs(th[::-1] - (hi - th))) <= 4.0 * np.spacing(hi)
+
+
+def test_oracle_non_convergence_names_profile_and_k():
+    s = RadialSmearing.hard_shell(1.1, 2.9, (0.0, 0.0), 2)
+    with pytest.raises(QuadratureError, match=r"for hard_shell at \|k\|=5 ") as info:
+        ft_oracle(s, (3.0, 4.0), tol=0.0)
+    assert info.value.value is not None and info.value.estimate > 0.0
+
+
+@st.composite
+def small_profiles(draw):
+    d = draw(st.sampled_from((2, 3)))
+    scale = draw(st.floats(0.2, 4.0))
+    center = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(d))
+    if draw(st.booleans()):
+        profile = RadialSmearing.gaussian(scale, center, d)
+    else:
+        profile = RadialSmearing.hard_shell(draw(st.floats(0.0, 0.9)) * scale, scale, center, d)
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    if d == 2:
+        direction = np.array([math.cos(phi), math.sin(phi)])
+    else:
+        z = draw(st.floats(-1.0, 1.0))
+        rho = math.sqrt(1.0 - z * z)
+        direction = np.array([rho * math.cos(phi), rho * math.sin(phi), z])
+    return profile, draw(st.floats(0.0, 10.0 / scale)) * direction
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(small_profiles())
+def test_oracle_matches_closed_form_or_raises(case):
+    profile, k_vec = case
+    kmag = float(np.linalg.norm(k_vec))
+    try:
+        direct = ft_oracle(profile, k_vec)
+    except QuadratureError:
+        return
+    rho = radial_ft(profile, kmag)
+    closed = rho * np.exp(1j * float(k_vec @ np.asarray(profile.center)))
+    assert abs(closed - direct) <= 1e-8 * (1.0 + abs(rho))
