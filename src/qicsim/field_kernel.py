@@ -15,6 +15,12 @@ the integrand by i k.
 
 From S_ij alone follow both commutator functionals:
 (1/i)<[O_i, O_j]> = 2 Im S_ij and (1/i)<[O_i, f(O_j)]> = 2 Re S_ij.
+
+In d=3 a hard shell's rho, and with it every integrand built from it, is a
+finite sum of terms c k^-p e^{i omega k}; d=3 hard-shell pairings and mode
+functions are the exact sum of those terms' finite parts, with a rounding
+bound as the error.  d=2, Gaussian pairings and the rare d=3 pair or radius
+whose bound is too loose go through the radial quadrature (`quadrature`).
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .errors import ConfigurationError, QuadratureError
 from .quadrature import damped_tail_integral, oscillatory_integral, panel_nodes
 from .smearing import (
     GAUSSIAN,
+    HARD_SHELL,
     ft_decay_power,
     ft_frequencies,
     ft_gauss_decay,
@@ -102,6 +109,85 @@ def _radial_integrand(d: int, dx: float, tau: float, profiles, derivative: bool 
     return integrand, groups, decay, max(power, 1.0)
 
 
+# --------------------------------------------------------------------------
+# d=3 hard shells: exact finite-part sums
+# --------------------------------------------------------------------------
+
+_PSI = [-0.5772156649015329 + sum(1.0 / j for j in range(1, n + 1)) for n in range(8)]
+_I_POW = (1.0, 1j, -1.0, -1j)
+_ROUNDING = 8.0 * np.finfo(float).eps  # padded relative rounding of one term
+
+
+def _rho_terms(s) -> list:
+    """rho of a d=3 hard shell as terms (c, p, omega) of c k^-p e^{i omega k}:
+    4 pi (sin ka - ka cos ka) / k^3 = sum_{e=+-1} e^{i e a k} (-2 pi i e k^-3 - 2 pi a k^-2)."""
+    terms = []
+    for a, sign in ((s.r_outer, s.amplitude), (s.r_inner, -s.amplitude)):
+        if a > 0.0:
+            for e in (1.0, -1.0):
+                terms += [(-2j * math.pi * e * sign, 3, e * a), (-2.0 * math.pi * a * sign, 2, e * a)]
+    return terms
+
+
+def _shell_terms(dx: float, tau: float, profiles, derivative: bool = False) -> list:
+    """The d=3 hard-shell integrand of `_radial_integrand` as a finite sum of
+    terms (c, p, omega), each c k^-p e^{i omega k}: the measure, the phase,
+    [i k,] each rho, and sin(k dx)/(k dx) = sum_e e^{i e dx k} e / (2 i dx k)."""
+    terms = [(1j / (4.0 * math.pi**2) if derivative else 1.0 / (4.0 * math.pi**2),
+              -2 if derivative else -1, tau)]
+    factors = [_rho_terms(s) for s in profiles]
+    if dx > 0.0:
+        factors.append([(e / (2j * dx), 1, e * dx) for e in (1.0, -1.0)])
+    for factor in factors:
+        terms = [(c * cf, p + pf, w + wf) for c, p, w in terms for cf, pf, wf in factor]
+    return terms
+
+
+def _finite_part(terms) -> tuple[complex, float, bool]:
+    """Sum of the finite parts of int_0^inf c k^-p e^{i omega k} dk.
+
+    Per term, with n = p - 1 >= 0: (i omega)^n / n! [psi(n+1) - ln|omega|
+    + i pi/2 sgn omega]; with m = -p >= 0: m! (i/omega)^{m+1}; zero for
+    omega = 0.  The divergent parts at k -> 0 cancel because the integrand
+    is regular there, so the sum is the integral.  Terms merge only on
+    exactly equal (p, omega).  Returns (value, sum of |term|, divergent):
+    divergent flags a surviving omega = 0 term with p <= 1, which does not
+    decay at k -> inf.
+    """
+    merged: dict = {}
+    for c, p, w in terms:
+        merged[p, w] = merged.get((p, w), 0.0) + c
+    re, im, mag = [], [], []
+    divergent = False
+    for (p, w), c in merged.items():
+        if w == 0.0:
+            divergent = divergent or (p <= 1 and c != 0.0)
+            continue
+        if p >= 1:
+            n = p - 1
+            f = _I_POW[n % 4] * w**n / math.factorial(n) * complex(
+                _PSI[n] - math.log(abs(w)), math.copysign(0.5 * math.pi, w))
+        else:
+            f = math.factorial(-p) * _I_POW[(1 - p) % 4] / w ** (1 - p)
+        term = c * f
+        re.append(term.real)
+        im.append(term.imag)
+        mag.append(abs(term))
+    return complex(math.fsum(re), math.fsum(im)), math.fsum(mag), divergent
+
+
+def _closed_form_pairing(si, sj, dx: float, tau: float, tol: float):
+    """(S_ij, rounding bound) from the finite-part sum, or None where the
+    bound exceeds tol times the Cauchy-Schwarz scale sqrt(S_ii S_jj)."""
+    val, mag, _ = _finite_part(_shell_terms(dx, tau, (si, sj)))
+    scale = 1.0
+    for s in (si, sj):
+        self_val, self_mag, _ = _finite_part(_shell_terms(0.0, 0.0, (s, s)))
+        scale *= max(self_val.real - _ROUNDING * self_mag, 0.0)
+    err = _ROUNDING * mag
+    return (val, err) if err <= tol * math.sqrt(scale) else None
+
+
 def _check_pair(gen_i: "Generator", gen_j: "Generator", d: int) -> None:
     for g in (gen_i, gen_j):
         if g.smearing.dimension != d:
@@ -119,9 +205,16 @@ def _pair_geometry(gen_i, gen_j):
 
 
 def pairing_detail(gen_i, gen_j, d: int, tol: float = 1e-10) -> tuple[complex, float]:
-    """Pairing S_ij with its achieved quadrature error estimate."""
+    """Pairing S_ij with its error estimate: for two d=3 hard shells the
+    exact finite-part sum and its rounding bound, else (or where that bound
+    exceeds tol sqrt(S_ii S_jj)) the oscillatory quadrature's estimate."""
     _check_pair(gen_i, gen_j, d)
     dx, tau = _pair_geometry(gen_i, gen_j)
+    si, sj = gen_i.smearing, gen_j.smearing
+    if d == 3 and si.kind == sj.kind == HARD_SHELL:
+        closed = _closed_form_pairing(si, sj, dx, tau, tol)
+        if closed is not None:
+            return closed
     integrand, groups, decay, power = _radial_integrand(
         d, dx, tau, (gen_i.smearing, gen_j.smearing))
     return oscillatory_integral(integrand, groups, phase_freq=tau, gauss_decay=decay,
@@ -245,8 +338,8 @@ def mode_function_by_quadrature(gen, t: float, dx: float, d: int, derivative: bo
     """I(t, x) (or its exact dI/dt) at distance ``dx = |x - x0|`` from the
     generator's center, by the radial oscillatory quadrature.
 
-    Works for every supported profile; for Gaussian profiles it cross-checks
-    the closed form (d=3) and fixed-node rule (d=2) of `ModeProfileEvaluator`.
+    Works for every supported profile; it cross-checks the closed forms (d=3
+    Gaussians and hard shells) and fixed-node rule (d=2) of `ModeProfileEvaluator`.
     """
     s = gen.smearing
     if s.dimension != d:
@@ -261,10 +354,19 @@ class ModeProfileEvaluator:
     """Evaluates I(t, .) and dI/dt(t, .) for one generator on many radii.
 
     This is the one mode-function path: Gaussian profiles use the closed
-    form (d=3) or a fixed node set (d=2), hard shells the radial quadrature;
-    a single radius r is ``evaluate([r])``.  The node set is fixed at construction (from the largest radius that
-    will be requested), so results are independent of how callers chunk
-    the radii -- grid evaluations stay bit-identical under any threading.
+    form (d=3) or a fixed node set (d=2), hard shells the exact finite-part
+    sum (d=3) or the radial quadrature (d=2); a single radius r is
+    ``evaluate([r])``.  The node set is fixed at construction (from the
+    largest radius that will be requested), so results are independent of
+    how callers chunk the radii -- grid evaluations stay bit-identical under
+    any threading.
+
+    A d=3 hard shell's value at r is taken from the finite-part sum where
+    its rounding bound is within tol times the sum of |terms| at r = 0 for
+    the same generator, time and quantity (a scale that does not vanish
+    where the value does); elsewhere (r -> 0, where the terms cancel like
+    1/r) the quadrature serves that radius.  A radius on a light-cone edge
+    where I or dI/dt diverges raises `ConfigurationError`.
     """
 
     def __init__(self, gen, t: float, d: int, dx_max: float, tol: float = 1e-10):
@@ -275,6 +377,11 @@ class ModeProfileEvaluator:
         s = gen.smearing
         self._gaussian_closed = s.kind == GAUSSIAN and d == 3
         self._nodes = None
+        self._shell_scale = None
+        if s.kind == HARD_SHELL and d == 3:
+            tau = self.t - gen.coupling_time
+            self._shell_scale = tuple(_finite_part(_shell_terms(0.0, tau, (s,), der))[1]
+                                      for der in (False, True))
         if s.kind == GAUSSIAN and d == 2:
             tau = self.t - gen.coupling_time
             g = ft_gauss_decay(s)
@@ -312,15 +419,23 @@ class ModeProfileEvaluator:
                 I[i0 : i0 + n] = (M @ base)[:n]
                 dI[i0 : i0 + n] = (M @ base_dt)[:n]
             return I, dI
-        # hard shells: per-radius accelerated quadrature (slow path)
+        # hard shells: per-radius finite-part sum (d=3) or quadrature
+        tau = self.t - gen.coupling_time
         for i, r in enumerate(u):
             for out, derivative in ((I, False), (dI, True)):
+                where = (f"{'dI/dt' if derivative else 'I'} at r={float(r)}, t={self.t}, "
+                         f"coupling_time={gen.coupling_time}")
+                if self._shell_scale is not None:
+                    val, mag, divergent = _finite_part(
+                        _shell_terms(float(r), tau, (gen.smearing,), derivative))
+                    if divergent:
+                        raise ConfigurationError(f"{where}: diverges on a light-cone edge")
+                    if _ROUNDING * mag <= self.tol * self._shell_scale[derivative]:
+                        out[i] = val
+                        continue
                 try:
                     out[i], _ = mode_function_by_quadrature(gen, self.t, r, self.d,
                                                             derivative, self.tol)
                 except QuadratureError as exc:
-                    raise QuadratureError(
-                        f"{'dI/dt' if derivative else 'I'} at r={float(r)}, t={self.t}, "
-                        f"coupling_time={gen.coupling_time}: {exc}", exc.value, exc.estimate,
-                    ) from exc
+                    raise QuadratureError(f"{where}: {exc}", exc.value, exc.estimate) from exc
         return I, dI

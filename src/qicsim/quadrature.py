@@ -8,7 +8,8 @@ Everything this package computes reduces to one-dimensional integrals
 where the envelope decays either like a Gaussian (Gaussian smearings) or
 only algebraically (hard shells).  Algebraic decay rules out plain
 truncation: the tail of a shell-shell integrand falls off like 1/k^3, so
-cutting at k = 10^4 still leaves ~1e-8 behind.
+cutting at k = 10^4 still leaves ~1e-8 behind.  d=3 hard shells reach this
+module only as a fallback: `field_kernel` sums their integrals exactly.
 
 Strategy
 --------

@@ -229,17 +229,17 @@ def ft_oracle(s: RadialSmearing, k_vec, tol: float = 1e-11) -> complex:
             acc += radial[rows] @ np.cos(np.outer(kmag * r[rows], cos_th))
         return float(acc @ ang)
 
+    phase = np.exp(1j * float(np.dot(k_vec, s.center)))
     prev = evaluate(1)
     change = math.inf
     for refine in (2, 4, 8):
         cur = evaluate(refine)
         change = abs(cur - prev)
         if change <= tol * (1.0 + abs(cur)):
-            phase = np.exp(1j * float(np.dot(k_vec, s.center)))
             return s.amplitude * cur * phase
         prev = cur
     raise QuadratureError(
         f"ft_oracle did not converge for {s.kind} at |k|={kmag:.6g} (last change {change:.2e})",
-        value=prev,
-        estimate=change,
+        value=s.amplitude * prev * phase,
+        estimate=abs(s.amplitude) * change,
     )

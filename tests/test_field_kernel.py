@@ -267,8 +267,9 @@ class TestSamplesAndEvaluators:
         assert np.array_equal(np.concatenate([dI_a, dI_b]), dI_all)
 
     @pytest.mark.parametrize("gen, d", ((gen_gaussian(3), 3), (gen_gaussian(2), 2),
-                                        (gen_shell(3, 0.5, 1.25), 3)),
-                             ids=("closed-form-d3", "fixed-nodes-d2", "hard-shell-d3"))
+                                        (gen_shell(3, 0.5, 1.25), 3), (gen_shell(2, 0.5, 1.25), 2)),
+                             ids=("closed-form-d3", "fixed-nodes-d2", "hard-shell-d3",
+                                  "hard-shell-d2"))
     def test_profile_evaluator_evaluates_each_distinct_radius_once(self, gen, d, monkeypatch):
         # radii off the shell's light-cone edges |t - t0| +- r = 0.75, 1.5, 2.5, 3.25
         import qicsim.field_kernel as fk
@@ -287,7 +288,9 @@ class TestSamplesAndEvaluators:
         monkeypatch.setattr(fk, "mode_function_by_quadrature", counted)
         I, dI = ev.evaluate(dx)
         assert I.shape == dI.shape == dx.shape
-        assert len(calls) == (2 * len(distinct) if gen.smearing.kind == "hard_shell" else 0)
+        # only the d=2 hard shell reaches the quadrature; d=3 shells take the finite-part sum
+        quadrature_shell = gen.smearing.kind == "hard_shell" and d == 2
+        assert len(calls) == (2 * len(distinct) if quadrature_shell else 0)
         for r, iv, div in zip(dx.ravel(), I.ravel(), dI.ravel()):
             one, one_dt = ev.evaluate([r])
             assert iv == one[0] and div == one_dt[0]
@@ -311,13 +314,14 @@ def test_self_pairing_transforms_its_profile_once(monkeypatch):
 
     monkeypatch.setattr(fk, "radial_ft", counted_ft)
     monkeypatch.setattr(fk, "oscillatory_integral", counted_integral)
-    shell = gen_shell(3, 0.5, 1.25)
-    twin = gen_shell(3, 0.5, 1.25)  # equal profile, another object
-    other = gen_shell(3, 0.5, 1.5, t=0.3)
+    # d=2: d=3 shell pairings take the finite-part sum, not the integrand
+    shell = gen_shell(2, 0.5, 1.25)
+    twin = gen_shell(2, 0.5, 1.25)  # equal profile, another object
+    other = gen_shell(2, 0.5, 1.5, t=0.3)
     for gi, gj, per_point in ((shell, shell, 1), (shell, twin, 1), (shell, other, 2)):
         transformed.clear()
         integrated.clear()
-        pairing(gi, gj, 3)
+        pairing(gi, gj, 2)
         assert sum(transformed) == per_point * sum(integrated) > 0
 
 
@@ -348,3 +352,109 @@ def test_hard_shell_stall_names_radius_and_time():
     assert isinstance(cause, QuadratureError)
     assert (info.value.value, info.value.estimate) == (cause.value, cause.estimate)
     assert info.value.estimate > 0.0
+
+
+# --------------------------------------------------------------------------
+# d=3 hard shells: exact finite-part sums
+# --------------------------------------------------------------------------
+
+def shell_pairs(table1_3):
+    """The table1 d=3 pairs (keyed as in the `damped_pairings` fixture) and
+    20 seeded off-center shell/ball pairs (keyed None)."""
+    sc = table1_3
+    pairs = []
+    for i, bob in enumerate(sc.bobs):
+        pairs += [(bob, sc.bobs[j], (3, i, j)) for j in range(i, len(sc.bobs))]
+        pairs.append((bob, sc.alice, (3, i, "alice")))
+    rng = np.random.default_rng(61)
+
+    def shell():  # compact geometry: the damped oracle's cost grows with the frequencies
+        r = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.2, 0.8))
+        return gen_shell(3, r, r + float(rng.uniform(0.3, 0.8)),
+                         tuple(rng.uniform(-0.75, 0.75, size=3)), float(rng.uniform(-0.75, 0.75)))
+
+    return pairs + [(shell(), shell(), None) for _ in range(20)]
+
+
+def quadrature_pairing(gi, gj):
+    """S_ij by the oscillatory quadrature on the radial integrand."""
+    import qicsim.field_kernel as fk
+    from qicsim.quadrature import oscillatory_integral
+
+    dx, tau = fk._pair_geometry(gi, gj)
+    integrand, groups, decay, power = fk._radial_integrand(3, dx, tau, (gi.smearing, gj.smearing))
+    return oscillatory_integral(integrand, groups, phase_freq=tau, gauss_decay=decay,
+                                envelope_power=power)[0]
+
+
+class TestShellFiniteParts:
+    def test_pairings_match_quadrature_and_damped_oracle(self, table1_3, damped_pairings):
+        for gi, gj, key in shell_pairs(table1_3):
+            val, err = pairing_detail(gi, gj, 3)
+            scale = math.sqrt(pairing(gi, gi, 3).real * pairing(gj, gj, 3).real)
+            damped, damped_err = damped_pairings[key] if key else pairing_damped(gi, gj, 3)
+            assert abs(val - quadrature_pairing(gi, gj)) <= 1e-9 * scale, (key, val)
+            # the damped oracle misses by ~1.15x its own estimate, 1.4e-9 scale
+            # on (bob 0, alice); twice the estimate covers its own error
+            assert abs(val - damped) <= 1e-9 * scale + 2.0 * damped_err, (key, val, damped)
+            assert err <= 1e-12 * scale
+
+    def test_far_pair_falls_back_to_quadrature(self, monkeypatch):
+        # the terms cancel like dx^4: at dx = 1000 the rounding bound is far
+        # above tol sqrt(S_ii S_jj), so the quadrature serves the pair
+        import qicsim.field_kernel as fk
+
+        calls = []
+        integral = fk.oscillatory_integral
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integral(*args, **kwargs)
+
+        monkeypatch.setattr(fk, "oscillatory_integral", counted)
+        ball = gen_shell(3, 0.0, 1.0)
+        near = gen_shell(3, 1.1, 2.9, (10.0, 0.0, 0.0), 0.5)
+        far = gen_shell(3, 1.1, 2.9, (1000.0, 0.0, 0.0), 0.5)
+        pairing_detail(ball, near, 3)
+        assert calls == []
+        val, err = pairing_detail(ball, far, 3)
+        assert calls == [1]
+        assert math.isfinite(val.real) and err <= 1e-10 * abs(val)
+
+    def test_divergent_parts_cancel(self, table1_3):
+        # the integrand is regular at k = 0, so every k^-q coefficient of the
+        # term sum's small-k expansion, sum c (i omega)^(p-q) / (p-q)!, vanishes;
+        # q = 1 is the pole sum of the logarithms
+        import qicsim.field_kernel as fk
+
+        for gi, gj, key in shell_pairs(table1_3):
+            dx, tau = fk._pair_geometry(gi, gj)
+            terms = fk._shell_terms(dx, tau, (gi.smearing, gj.smearing))
+            for q in range(1, max(p for _, p, _ in terms) + 1):
+                parts = [c * (1j * w) ** (p - q) / math.factorial(p - q)
+                         for c, p, w in terms if p >= q]
+                total = complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
+                assert abs(total) <= 1e-13 * sum(map(abs, parts)), (key, q)
+
+    def test_mode_functions_match_quadrature_and_pass_the_stalls(self, monkeypatch):
+        import qicsim.field_kernel as fk
+
+        gen = gen_shell(3, 0.5, 1.25)
+        # off the light-cone edges 2.1 -+ 0.5, 2.1 -+ 1.25
+        for r in (0.0, 0.3, 1.0, 1.2, 2.0, 2.5, 3.0, 4.0):
+            I, dI = mode_values(gen, 2.1, (r, 0.0, 0.0), 3)
+            assert abs(I - mode_function_by_quadrature(gen, 2.1, r, 3)[0]) <= 1e-10
+            assert abs(dI - mode_function_by_quadrature(gen, 2.1, r, 3, True)[0]) <= 1e-10
+        # radii where the quadrature stalls at its segment cap
+        monkeypatch.setattr(fk, "mode_function_by_quadrature", None)
+        stalls = [math.sqrt(2.5), 1.59, 1.599, 1.6 - 1e-6, 3.36]
+        I, dI = ModeProfileEvaluator(gen, 2.1, 3, 3.36).evaluate(stalls)
+        assert np.isfinite(I).all() and np.isfinite(dI).all()
+
+    @pytest.mark.parametrize("r", (1.6, 3.35))
+    def test_light_cone_edge_divergence_is_typed(self, r):
+        # at t = 2.1 the edges t - r_inner = 1.6 and t + r_outer = 3.35 carry
+        # a log singularity of dI/dt
+        gen = gen_shell(3, 0.5, 1.25)
+        with pytest.raises(ConfigurationError, match=rf"dI/dt at r={r}, t=2\.1, coupling_time=0\.0"):
+            ModeProfileEvaluator(gen, 2.1, 3, r).evaluate([r])

@@ -239,6 +239,17 @@ def test_oracle_non_convergence_names_profile_and_k():
     assert info.value.value is not None and info.value.estimate > 0.0
 
 
+def test_oracle_error_value_carries_amplitude_and_phase():
+    # the stalled value must be the transform itself, amplitude and center
+    # phase included, within the reported estimate of the converged one
+    s = RadialSmearing.hard_shell(1.1, 2.9, (1.0, 0.5), 2, amplitude=2.0)
+    with pytest.raises(QuadratureError) as info:
+        ft_oracle(s, (3.0, 4.0), tol=0.0)
+    converged = ft_oracle(s, (3.0, 4.0))
+    assert converged == pytest.approx(0.668 - 2.257j, abs=1e-3)
+    assert abs(info.value.value - converged) <= info.value.estimate
+
+
 @st.composite
 def small_profiles(draw):
     d = draw(st.sampled_from((2, 3)))
