@@ -6,7 +6,8 @@ The sender either does nothing (bit 0) or couples once to the field
 measured projectively.  Because all couplings are instantaneous, the joint
 outcome distribution is an exact finite sum: for n receiver detectors it
 runs over the sender's conjugation sign and two sign vectors per detector,
-2 * 4^n terms in total.  Only two ingredients enter:
+2 * 4^n terms that fall into 3^n classes of equal terms.  Only two
+ingredients enter:
 
   * the real equal-time pairings among receiver operators (noise
     covariance), and
@@ -18,7 +19,6 @@ Everything else - detector energy gaps in particular - cancels exactly.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericConsistencyError
+from .errors import ConfigurationError, NumericConsistencyError, naming
 from .field_kernel import pairing_detail
 from .qic import Generator
 from .smearing import HARD_SHELL, support_radius
@@ -52,9 +52,6 @@ class OutcomeDistribution:
     @property
     def n_detectors(self) -> int:
         return len(self.detectors)
-
-    def flat(self) -> np.ndarray:
-        return self.probs.ravel()
 
 
 def _finalize_distribution(raw: np.ndarray, detectors) -> OutcomeDistribution:
@@ -151,11 +148,13 @@ def scenario_moments(sc: ChannelScenario, tol: float = 1e-10) -> ChannelMoments:
     worst = 0.0
     for i in range(n):
         for j in range(i, n):
-            val, err = pairing_detail(sc.bobs[i], sc.bobs[j], sc.dimension, tol)
+            with naming(f"pairing (bob {i}, bob {j})"):
+                val, err = pairing_detail(sc.bobs[i], sc.bobs[j], sc.dimension, tol)
             cov[i, j] = cov[j, i] = val.real
             worst = max(worst, err)
     for i in range(n):
-        val, err = pairing_detail(sc.bobs[i], sc.alice, sc.dimension, tol)
+        with naming(f"pairing (bob {i}, alice)"):
+            val, err = pairing_detail(sc.bobs[i], sc.alice, sc.dimension, tol)
         sig[i] = val.imag
         worst = max(worst, err)
     return ChannelMoments(noise_cov=cov, signal_im=sig, error_bound=worst)
@@ -166,9 +165,13 @@ def distribution_from_moments(
 ) -> OutcomeDistribution:
     """Exact outcome distribution for arbitrary receiver count.
 
-    Terms are accumulated in fixed lexicographic order over
-    (sender sign, signs, primed signs) and compensated-summed per outcome,
-    so results are bit-identical run to run.
+    Detector i's sign pair (s_i, s'_i) enters only through
+    c_i = lam_i (s_i - s'_i), and its outcome factor s_i s'_i is -1 exactly
+    where c_i != 0; the sender's sign enters only through an even cosine.
+    So the 2 * 4^n terms fall into 3^n classes s - s' in {0, +-2}^n of
+    2^(1 + #zeros) equal terms each.  The multiplicities are powers of two
+    and `math.fsum` rounds each outcome's sum once, so the result is
+    bit-identical to summing every term, and the same run to run.
     """
     lam = np.asarray(couplings, dtype=float)
     n = len(lam)
@@ -179,26 +182,20 @@ def distribution_from_moments(
     if detectors is None:
         detectors = tuple(f"B{i + 1}" for i in range(n))
 
-    signs = (1.0, -1.0)
-    outcomes = list(product((0, 1), repeat=n))
-    terms: dict[tuple, list[float]] = {z: [] for z in outcomes}
-    for s_a in signs:
-        for s in product(signs, repeat=n):
-            for sp in product(signs, repeat=n):
-                c = lam * (np.array(s) - np.array(sp))
-                decoh = math.exp(-0.5 * float(c @ V @ c))
-                # the sender commutators are imaginary c-numbers, so the
-                # signal enters as a phase; the s_a = +/- pair makes each
-                # term's imaginary part cancel exactly
-                signal = cmath.exp(2j * lam_alice * s_a * float(c @ m))
-                base = 0.5 * decoh * signal.real / 4.0**n
-                for z in outcomes:
-                    fac = 1.0
-                    for i, zi in enumerate(z):
-                        if zi == 1:
-                            fac *= s[i] * sp[i]
-                    terms[z].append(base * fac)
-    raw = np.array([math.fsum(terms[z]) for z in outcomes]).reshape((2,) * n)
+    classes = np.array(list(product((0.0, 2.0, -2.0), repeat=n)))
+    moved = classes != 0.0
+    weights = np.empty(len(classes))
+    for row, e in enumerate(classes):
+        c = lam * e
+        decoh = math.exp(-0.5 * float(c @ V @ c))
+        # the sender commutators are imaginary c-numbers: the signal is the
+        # phase e^{+-2i lam_alice c.m}, and its sign pair keeps the cosine
+        term = 0.5 * decoh * math.cos(2.0 * lam_alice * float(c @ m)) / 4.0**n
+        weights[row] = term * 2.0 ** (1 + n - int(moved[row].sum()))
+    outcomes = np.array(list(product((0, 1), repeat=n)))
+    flipped = (outcomes @ moved.T) % 2 == 1
+    signed = np.where(flipped, -weights, weights)
+    raw = np.array([math.fsum(terms) for terms in signed]).reshape((2,) * n)
     return _finalize_distribution(raw, detectors)
 
 

@@ -29,7 +29,7 @@ from .channel import (
 from .errors import ConfigurationError, NumericConsistencyError, QuadratureError
 from .qic import Generator, GridAxis, GridSpec, build_qic, weighting_grid
 from .scenarios import PRESET_NAMES, preset, _serialize_generator
-from .smearing import GAUSSIAN, RadialSmearing
+from .smearing import GAUSSIAN, HARD_SHELL, RadialSmearing
 from .validate import run_checks
 
 _CONFIG_KEYS = {
@@ -53,44 +53,57 @@ def _reject_unknown(obj: dict, allowed: set, context: str) -> None:
         raise ConfigurationError(f"unknown {context} keys: {unknown}")
 
 
+def _require(obj: dict, keys, context: str) -> None:
+    for key in keys:
+        if key not in obj:
+            raise ConfigurationError(f"{context} missing {key!r}")
+
+
+def _number(value, what: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what}: {value!r} is not a number") from exc
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError("config file must contain a JSON object")
     _reject_unknown(cfg, _CONFIG_KEYS, "config")
     return cfg
 
 
-def _setting(args, cfg: dict, key: str, default=None):
+def _setting(args, cfg: dict, key: str, default=None, kind=None):
+    """Flag, else config value, else ``default``; converted by ``kind``."""
     val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in cfg and cfg[key] is not None:
-        return cfg[key]
-    return default
+    if val is None:
+        val = cfg.get(key)
+    if val is None:
+        val = default
+    return val if kind is None or val is None else _number(val, key, kind)
 
 
 def _generator_from_spec(spec: dict, dimension: int) -> Generator:
     _reject_unknown(spec, _GEN_KEYS, "generator")
-    for req in ("kind", "center", "t"):
-        if req not in spec:
-            raise ConfigurationError(f"generator definition missing {req!r}")
+    _require(spec, ("kind", "center", "t"), "generator definition")
     kind = spec["kind"]
-    center = tuple(float(c) for c in spec["center"])
-    amplitude = float(spec.get("amplitude", 1.0))
-    if kind == "gaussian":
-        smearing = RadialSmearing.gaussian(spec["sigma"], center, dimension,
-                                           amplitude=amplitude)
-    elif kind == "hard_shell":
-        smearing = RadialSmearing.hard_shell(spec["r_inner"], spec["r_outer"],
-                                             center, dimension, amplitude=amplitude)
-    else:
+    shape = {GAUSSIAN: ("sigma",), HARD_SHELL: ("r_inner", "r_outer")}.get(kind)
+    if shape is None:
         raise ConfigurationError(f"unknown generator kind {kind!r}")
-    return Generator(smearing=smearing, coupling_time=float(spec["t"]),
-                     coupling=float(spec.get("coupling", 1.0)))
+    _require(spec, shape, f"{kind} generator")
+    num = {key: _number(spec.get(key, 1.0), f"generator key {key!r}")
+           for key in shape + ("t", "coupling", "amplitude")}
+    center = tuple(_number(c, "generator key 'center'") for c in spec["center"])
+    smearing = RadialSmearing(kind, dimension, center, amplitude=num["amplitude"],
+                              **{key: num[key] for key in shape})
+    return Generator(smearing=smearing, coupling_time=num["t"], coupling=num["coupling"])
 
 
 def _parse_grid(text: str, dimension: int) -> GridSpec:
@@ -107,18 +120,18 @@ def _parse_grid(text: str, dimension: int) -> GridSpec:
         name, spec_text = part.split("=", 1)
         if name.strip() != want:
             raise ConfigurationError(f"expected axis {want!r}, got {name.strip()!r}")
-        fields = spec_text.split(":")
+        fields = [_number(f, f"grid axis {want}") for f in spec_text.split(":")]
         if len(fields) == 1:
-            axes.append(float(fields[0]))
+            axes.append(fields[0])
         elif len(fields) == 3:
-            axes.append(GridAxis(float(fields[0]), float(fields[1]), float(fields[2])))
+            axes.append(GridAxis(*fields))
         else:
             raise ConfigurationError(f"grid axis spec {spec_text!r} must be value or lo:hi:step")
     return GridSpec(axes=tuple(axes))
 
 
 def _resolve_scenario(args, cfg, expect_kind: str):
-    dim = int(_setting(args, cfg, "dimension", 3))
+    dim = _setting(args, cfg, "dimension", 3, int)
     name = _setting(args, cfg, "preset")
     inline = cfg.get("scenario")
     if name is None and isinstance(inline, str):
@@ -137,10 +150,12 @@ def _resolve_scenario(args, cfg, expect_kind: str):
         raise ConfigurationError("inline scenario must be an object")
     if expect_kind == "channel":
         _reject_unknown(inline, {"alice", "bobs"}, "scenario")
+        _require(inline, ("alice", "bobs"), "inline scenario")
         alice = _generator_from_spec(inline["alice"], dim)
         bobs = [_generator_from_spec(b, dim) for b in inline["bobs"]]
         return dim, make_channel_scenario(alice, bobs, dim), None
     _reject_unknown(inline, {"generators", "times"}, "scenario")
+    _require(inline, ("generators",), "inline scenario")
     gens = [_generator_from_spec(g, dim) for g in inline["generators"]]
     if not gens:
         raise ConfigurationError("inline scenario has no generators")
@@ -151,8 +166,8 @@ def cmd_capacity(args) -> int:
     cfg = _load_config(args.config)
     dim, scenario, _ = _resolve_scenario(args, cfg, "channel")
     base = _setting(args, cfg, "log_base", "2")
-    tol = float(_setting(args, cfg, "tol", 1e-10))
-    search_tol = float(_setting(args, cfg, "search_tol", 1e-10))
+    tol = _setting(args, cfg, "tol", 1e-10, float)
+    search_tol = _setting(args, cfg, "search_tol", 1e-10, float)
     result = capacity_table(scenario, base=base, tol=tol, search_tol=search_tol)
 
     report = {
@@ -205,7 +220,7 @@ def cmd_evolve(args, forced_preset: str | None = None) -> int:
     elif t_setting is None:
         raise ConfigurationError("no snapshot time: pass --t")
     else:
-        times = [float(t) for t in np.atleast_1d(t_setting)]
+        times = [_number(t, "t") for t in np.atleast_1d(t_setting).tolist()]
 
     grid_setting = _setting(args, cfg, "grid")
     if grid_setting is not None:
@@ -215,9 +230,9 @@ def cmd_evolve(args, forced_preset: str | None = None) -> int:
     else:
         raise ConfigurationError("no grid: pass --grid")
 
-    tol = float(_setting(args, cfg, "tol", 1e-10))
-    threads = int(_setting(args, cfg, "threads", 1))
-    eps = float(_setting(args, cfg, "degeneracy_eps", 1e-10))
+    tol = _setting(args, cfg, "tol", 1e-10, float)
+    threads = _setting(args, cfg, "threads", 1, int)
+    eps = _setting(args, cfg, "degeneracy_eps", 1e-10, float)
     out_base = _setting(args, cfg, "out")
 
     modes = build_qic(generators, dim, degeneracy_eps=eps, tol=tol)

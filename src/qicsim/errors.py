@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class ConfigurationError(ValueError):
     """Invalid input configuration (bad dimensions, malformed config keys, ...)."""
@@ -16,6 +18,16 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.value = value
         self.estimate = estimate
+
+
+@contextmanager
+def naming(where: str):
+    """Re-raise a `QuadratureError` from the block with ``where: `` prefixed,
+    keeping its value and estimate (and the original as the cause)."""
+    try:
+        yield
+    except QuadratureError as exc:
+        raise QuadratureError(f"{where}: {exc}", exc.value, exc.estimate) from exc
 
 
 class NumericConsistencyError(RuntimeError):

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.special import dawsn, j0
 
-from .errors import ConfigurationError, QuadratureError
+from .errors import ConfigurationError, naming
 from .quadrature import damped_tail_integral, oscillatory_integral, panel_nodes
 from .smearing import (
     GAUSSIAN,
@@ -248,11 +248,8 @@ def pairing_matrix(generators, d: int, tol: float = 1e-10) -> PairingMatrix:
     errors = np.zeros((n, n), dtype=float)
     for i in range(n):
         for j in range(i, n):
-            try:
+            with naming(f"pairing ({i}, {j})"):
                 val, err = pairing_detail(generators[i], generators[j], d, tol)
-            except QuadratureError as exc:
-                raise QuadratureError(f"pairing ({i}, {j}): {exc}", exc.value,
-                                      exc.estimate) from exc
             entries[i, j] = val
             errors[i, j] = err
             if j != i:
@@ -387,7 +384,7 @@ class ModeProfileEvaluator:
             g = ft_gauss_decay(s)
             k_max = math.sqrt(184.0 / g)
             omega = abs(tau) + dx_max
-            k, w = panel_nodes(k_max, omega, nodes_per_panel=16)
+            k, w = panel_nodes(k_max, omega)
             # not `_radial_integrand`: this product order fixes the grid bytes
             base = w * _measure(2, k) * radial_ft(s, k) * np.exp(1j * tau * k)
             self._nodes = (k, base, base * (1j * k))
@@ -433,9 +430,7 @@ class ModeProfileEvaluator:
                     if _ROUNDING * mag <= self.tol * self._shell_scale[derivative]:
                         out[i] = val
                         continue
-                try:
+                with naming(where):
                     out[i], _ = mode_function_by_quadrature(gen, self.t, r, self.d,
                                                             derivative, self.tol)
-                except QuadratureError as exc:
-                    raise QuadratureError(f"{where}: {exc}", exc.value, exc.estimate) from exc
         return I, dI

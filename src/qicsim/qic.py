@@ -234,6 +234,10 @@ class GridAxis:
     step: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+            raise ConfigurationError(
+                f"grid axis needs finite start, stop and step, got "
+                f"{self.start}:{self.stop}:{self.step}")
         if not (self.step > 0.0 and self.stop >= self.start):
             raise ConfigurationError("grid axis needs stop >= start and step > 0")
 
@@ -251,6 +255,9 @@ class GridSpec:
     def __post_init__(self):
         if not any(isinstance(a, GridAxis) for a in self.axes):
             raise ConfigurationError("grid needs at least one varying axis")
+        for a in self.axes:
+            if not isinstance(a, GridAxis) and not math.isfinite(a):
+                raise ConfigurationError(f"grid fixed axis value {a} is not finite")
 
     @property
     def dimension(self) -> int:

@@ -47,6 +47,9 @@ import numpy as np
 
 from .errors import QuadratureError
 
+MAX_SEGMENTS = 1 << 17  # segment cap of `oscillatory_integral`
+PANEL_NODES = 16  # Gauss-Legendre nodes per `panel_nodes` panel
+
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -149,8 +152,6 @@ def oscillatory_integral(
     phase_freq: float = 0.0,
     gauss_decay: float = 0.0,
     tol: float = 1e-10,
-    nodes: int = 24,
-    max_segments: int = 1 << 17,
     envelope_power: float = 3.0,
 ) -> tuple[complex, float]:
     """Integrate ``integrand`` over [0, inf) to the requested tolerance.
@@ -180,10 +181,10 @@ def oscillatory_integral(
         h = min(math.pi / max(omega, 0.5), 1.0 / math.sqrt(gauss_decay))
         k_cut = math.sqrt(184.0 / gauss_decay)
         n = max(int(math.ceil(k_cut / h)), 4)
-        if n > max_segments:
-            raise QuadratureError(f"Gaussian integral: {n} segments > max_segments={max_segments}")
+        if n > MAX_SEGMENTS:
+            raise QuadratureError(f"Gaussian integral: {n} segments > max_segments={MAX_SEGMENTS}")
         edges = h * np.arange(n + 1)
-        seg = segment_integrals(integrand, edges, nodes)
+        seg = segment_integrals(integrand, edges)
         total = seg.sum()
         scale = max(np.abs(seg).sum(), abs(total))
         err = abs(seg[-1]) + 1e-15 * scale
@@ -197,7 +198,7 @@ def oscillatory_integral(
     powers = (envelope_power - 1.0, envelope_power, envelope_power + 1.0)
 
     n = 1024
-    seg = segment_integrals(integrand, h * np.arange(n + 1), nodes)
+    seg = segment_integrals(integrand, h * np.arange(n + 1))
     val_prev = None
     while True:
         S = np.cumsum(seg)
@@ -237,14 +238,14 @@ def oscillatory_integral(
                 err = max(spread, abs(val - val_prev)) + 1e-15 * scale
         if err <= tol * scale:
             return complex(val), float(err)
-        if 2 * n > max_segments:
+        if 2 * n > MAX_SEGMENTS:
             raise QuadratureError(
                 f"radial integral stalled at {n} segments "
                 f"(err~{err:.2e}, scale~{scale:.2e}, tol={tol:.1e})",
                 value=complex(val),
                 estimate=float(err),
             )
-        ext = segment_integrals(integrand, h * np.arange(n, 2 * n + 1), nodes)
+        ext = segment_integrals(integrand, h * np.arange(n, 2 * n + 1))
         seg = np.concatenate([seg, ext])
         n *= 2
         val_prev = val
@@ -298,7 +299,7 @@ def damped_tail_integral(
     return complex(coef[0]), float(abs(coef[0] - coef_drop[0]))
 
 
-def panel_nodes(k_max: float, omega: float, nodes_per_panel: int = 16) -> tuple[np.ndarray, np.ndarray]:
+def panel_nodes(k_max: float, omega: float) -> tuple[np.ndarray, np.ndarray]:
     """Shared Gauss-Legendre node/weight set covering [0, k_max].
 
     Panel length resolves oscillations of rate ``omega``; used by the
@@ -307,7 +308,7 @@ def panel_nodes(k_max: float, omega: float, nodes_per_panel: int = 16) -> tuple[
     h = math.pi / max(omega, 1.0)
     n_panels = max(int(math.ceil(k_max / h)), 1)
     edges = np.linspace(0.0, k_max, n_panels + 1)
-    x, w = _gauss_legendre(nodes_per_panel)
+    x, w = _gauss_legendre(PANEL_NODES)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     pts = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x[None, :]
     wts = np.broadcast_to(w[None, :], pts.shape) * half

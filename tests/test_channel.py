@@ -1,5 +1,7 @@
+import cmath
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,11 +18,13 @@ from qicsim.channel import (
     joint_distribution,
     make_channel_scenario,
     marginalize,
+    scenario_moments,
     mutual_information,
     subset_label,
     SUBSET_ORDER,
 )
-from qicsim.errors import ConfigurationError, NumericConsistencyError
+import qicsim.channel as channel
+from qicsim.errors import ConfigurationError, NumericConsistencyError, QuadratureError
 from qicsim.field_kernel import pairing
 from qicsim.qic import Generator
 from qicsim.smearing import RadialSmearing
@@ -95,6 +99,94 @@ class TestJointDistribution:
             a = joint_distribution(table1_3, bit, moments_3)
             b = joint_distribution(gapped, bit, moments_3)
             assert np.array_equal(a.probs, b.probs)
+
+
+def sign_sum_reference(V, m, couplings, lam_alice):
+    """The 2 * 4^n sign sum term by term (sender sign, signs, primed
+    signs), fsum-ed per outcome: the raw distribution before clamping."""
+    lam = np.asarray(couplings, dtype=float)
+    n = len(lam)
+    signs = (1.0, -1.0)
+    outcomes = list(product((0, 1), repeat=n))
+    terms = {z: [] for z in outcomes}
+    for s_a in signs:
+        for s in product(signs, repeat=n):
+            for sp in product(signs, repeat=n):
+                c = lam * (np.array(s) - np.array(sp))
+                decoh = math.exp(-0.5 * float(c @ V @ c))
+                signal = cmath.exp(2j * lam_alice * s_a * float(c @ m))
+                base = 0.5 * decoh * signal.real / 4.0**n
+                for z in outcomes:
+                    fac = 1.0
+                    for i, zi in enumerate(z):
+                        if zi == 1:
+                            fac *= s[i] * sp[i]
+                    terms[z].append(base * fac)
+    return np.array([math.fsum(terms[z]) for z in outcomes]).reshape((2,) * n)
+
+
+def _random_moment_cases():
+    rng = np.random.default_rng(71)
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            A = rng.normal(size=(n, n))
+            V = A @ A.T + 0.1 * np.eye(n)
+            m = rng.normal(size=n)
+            lams = rng.uniform(0.02, 0.5, size=n)
+            for lam_a in (0.0, float(rng.uniform(0.1, 2.0))):
+                yield V, m, lams, lam_a
+
+
+class TestClassSumMatchesTermByTerm:
+    """The 3^n class sum equals the 2 * 4^n term-by-term sum bit for bit,
+    compared before clamping and normalization."""
+
+    @pytest.fixture(autouse=True)
+    def raw_sums(self, monkeypatch):
+        monkeypatch.setattr(channel, "_finalize_distribution", lambda raw, detectors: raw)
+
+    @staticmethod
+    def assert_same(V, m, lams, lam_a):
+        moments = ChannelMoments(noise_cov=V, signal_im=m, error_bound=0.0)
+        ours = distribution_from_moments(moments, lams, lam_a)
+        ref = sign_sum_reference(V, m, lams, lam_a)
+        assert np.array_equal(ours, ref)
+        assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+    def test_random_moments(self):
+        for case in _random_moment_cases():
+            self.assert_same(*case)
+
+    @pytest.mark.parametrize("dim", (3, 2))
+    def test_table1_moments(self, dim, table1_3, table1_2, moments_3, moments_2):
+        sc, moments = (table1_3, moments_3) if dim == 3 else (table1_2, moments_2)
+        lams = [b.coupling for b in sc.bobs]
+        for bit in (0, 1):
+            self.assert_same(moments.noise_cov, moments.signal_im, lams,
+                             sc.alice.coupling * bit)
+
+
+@pytest.mark.parametrize("bad, label", [((1, 2), "bob 1, bob 2"), ((2, None), "bob 2, alice")],
+                         ids=["bob-bob", "bob-alice"])
+def test_moment_stall_names_the_pair(table1_3, monkeypatch, bad, label):
+    real = channel.pairing_detail
+    i, j = bad
+    culprit = (table1_3.bobs[i], table1_3.alice if j is None else table1_3.bobs[j])
+
+    def stalling(gi, gj, d, tol):
+        if gi is culprit[0] and gj is culprit[1]:
+            raise QuadratureError("radial integral stalled", value=1 + 2j, estimate=0.5)
+        return real(gi, gj, d, tol)
+
+    monkeypatch.setattr(channel, "pairing_detail", stalling)
+    with pytest.raises(QuadratureError, match=rf"^pairing \({label}\): radial integral stalled$") as info:
+        scenario_moments(table1_3)
+    assert (info.value.value, info.value.estimate) == (1 + 2j, 0.5)
+    assert isinstance(info.value.__cause__, QuadratureError)
+    calls = []
+    monkeypatch.setattr(channel, "pairing_detail", lambda *a: calls.append(a) or real(*a))
+    scenario_moments(table1_3)
+    assert len(calls) == 9
 
 
 class TestDistributionValidation:

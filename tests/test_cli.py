@@ -218,6 +218,34 @@ class TestEvolveCommand:
         assert data[0, 1] == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-9)
 
 
+_GAUSS = {"kind": "gaussian", "sigma": 1.0, "center": [0, 0, 0], "t": 0}
+_SHELL = {"kind": "hard_shell", "r_inner": 0.5, "r_outer": 1.0, "center": [0, 0, 0], "t": 0}
+_EVOLVE = ["evolve", "--t", "1", "--grid", "x=0:1:0.5,y=0,z=0"]
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["evolve", "--dim", "2", "--preset", "single", "--t", "1", "--grid", "x=a:1:0.5,y=0"],
+     None, "'a'"),
+    (["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:inf:1,y=0,z=0"],
+     None, "inf"),
+    (["capacity"], '{"dimension": 3,', "not valid JSON"),
+    (["capacity"], {"scenario": {"bobs": [_SHELL] * 3}}, "'alice'"),
+    (_EVOLVE, {"scenario": {"generators": [{k: v for k, v in _SHELL.items() if k != "r_outer"}]}},
+     "'r_outer'"),
+    (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "sigma": "x"}]}}, "'sigma'"),
+], ids=["grid-value", "grid-inf", "config-json", "no-alice", "no-r-outer", "sigma-text"])
+def test_malformed_input_is_one_line_error(tmp_path, capsys, argv, config, named):
+    argv = argv + ["--out", str(tmp_path / "out")]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err
+
+
 class TestValidateCommand:
     def test_only_filter(self, capsys):
         assert main(["validate", "--only", "closed-form,involution"]) == 0
