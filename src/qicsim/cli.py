@@ -28,7 +28,7 @@ from .channel import (
 )
 from .errors import ConfigurationError, NumericConsistencyError, QuadratureError
 from .qic import Generator, GridAxis, GridSpec, build_qic, weighting_grid
-from .scenarios import PRESET_NAMES, preset, _serialize_generator
+from .scenarios import PRESETS, preset, _serialize_generator
 from .smearing import GAUSSIAN, HARD_SHELL, RadialSmearing
 from .validate import run_checks
 
@@ -66,6 +66,12 @@ def _number(value, what: str, kind=float):
         raise ConfigurationError(f"{what}: {value!r} is not a number") from exc
 
 
+def _typed(value, kind, what: str):
+    if not isinstance(value, kind):
+        raise ConfigurationError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -77,6 +83,9 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigurationError("config file must contain a JSON object")
     _reject_unknown(cfg, _CONFIG_KEYS, "config")
+    for key in ("grid", "out"):  # the other string settings are checked where used
+        if cfg.get(key) is not None:
+            _typed(cfg[key], str, f"config key {key!r}")
     return cfg
 
 
@@ -90,8 +99,8 @@ def _setting(args, cfg: dict, key: str, default=None, kind=None):
     return val if kind is None or val is None else _number(val, key, kind)
 
 
-def _generator_from_spec(spec: dict, dimension: int) -> Generator:
-    _reject_unknown(spec, _GEN_KEYS, "generator")
+def _generator_from_spec(spec: dict, dimension: int, what: str) -> Generator:
+    _reject_unknown(_typed(spec, dict, what), _GEN_KEYS, "generator")
     _require(spec, ("kind", "center", "t"), "generator definition")
     kind = spec["kind"]
     shape = {GAUSSIAN: ("sigma",), HARD_SHELL: ("r_inner", "r_outer")}.get(kind)
@@ -100,7 +109,8 @@ def _generator_from_spec(spec: dict, dimension: int) -> Generator:
     _require(spec, shape, f"{kind} generator")
     num = {key: _number(spec.get(key, 1.0), f"generator key {key!r}")
            for key in shape + ("t", "coupling", "amplitude")}
-    center = tuple(_number(c, "generator key 'center'") for c in spec["center"])
+    center = tuple(_number(c, "generator key 'center'")
+                   for c in _typed(spec["center"], list, "generator key 'center'"))
     smearing = RadialSmearing(kind, dimension, center, amplitude=num["amplitude"],
                               **{key: num[key] for key in shape})
     return Generator(smearing=smearing, coupling_time=num["t"], coupling=num["coupling"])
@@ -151,12 +161,14 @@ def _resolve_scenario(args, cfg, expect_kind: str):
     if expect_kind == "channel":
         _reject_unknown(inline, {"alice", "bobs"}, "scenario")
         _require(inline, ("alice", "bobs"), "inline scenario")
-        alice = _generator_from_spec(inline["alice"], dim)
-        bobs = [_generator_from_spec(b, dim) for b in inline["bobs"]]
+        alice = _generator_from_spec(inline["alice"], dim, "scenario key 'alice'")
+        bobs = [_generator_from_spec(b, dim, "each of scenario key 'bobs'")
+                for b in _typed(inline["bobs"], list, "scenario key 'bobs'")]
         return dim, make_channel_scenario(alice, bobs, dim), None
     _reject_unknown(inline, {"generators", "times"}, "scenario")
     _require(inline, ("generators",), "inline scenario")
-    gens = [_generator_from_spec(g, dim) for g in inline["generators"]]
+    gens = [_generator_from_spec(g, dim, "each of scenario key 'generators'")
+            for g in _typed(inline["generators"], list, "scenario key 'generators'")]
     if not gens:
         raise ConfigurationError("inline scenario has no generators")
     return dim, gens, None
@@ -307,7 +319,7 @@ def cmd_validate(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, with_grid: bool) -> None:
     p.add_argument("--dim", dest="dimension", type=int, choices=(2, 3), default=None)
-    p.add_argument("--preset", choices=PRESET_NAMES, default=None)
+    p.add_argument("--preset", choices=tuple(PRESETS), default=None)
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--tol", type=float, default=None, help="quadrature tolerance")
     p.add_argument("--out", default=None, help="output path")

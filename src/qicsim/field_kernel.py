@@ -371,16 +371,15 @@ class ModeProfileEvaluator:
         self.t = float(t)
         self.d = int(d)
         self.tol = tol
+        self._tau = tau = self.t - gen.coupling_time  # e^{-ik(t0 - t)} = e^{ik tau}
         s = gen.smearing
         self._gaussian_closed = s.kind == GAUSSIAN and d == 3
         self._nodes = None
         self._shell_scale = None
         if s.kind == HARD_SHELL and d == 3:
-            tau = self.t - gen.coupling_time
             self._shell_scale = tuple(_finite_part(_shell_terms(0.0, tau, (s,), der))[1]
                                       for der in (False, True))
         if s.kind == GAUSSIAN and d == 2:
-            tau = self.t - gen.coupling_time
             g = ft_gauss_decay(s)
             k_max = math.sqrt(184.0 / g)
             omega = abs(tau) + dx_max
@@ -417,14 +416,13 @@ class ModeProfileEvaluator:
                 dI[i0 : i0 + n] = (M @ base_dt)[:n]
             return I, dI
         # hard shells: per-radius finite-part sum (d=3) or quadrature
-        tau = self.t - gen.coupling_time
         for i, r in enumerate(u):
             for out, derivative in ((I, False), (dI, True)):
                 where = (f"{'dI/dt' if derivative else 'I'} at r={float(r)}, t={self.t}, "
                          f"coupling_time={gen.coupling_time}")
                 if self._shell_scale is not None:
                     val, mag, divergent = _finite_part(
-                        _shell_terms(float(r), tau, (gen.smearing,), derivative))
+                        _shell_terms(float(r), self._tau, (gen.smearing,), derivative))
                     if divergent:
                         raise ConfigurationError(f"{where}: diverges on a light-cone edge")
                     if _ROUNDING * mag <= self.tol * self._shell_scale[derivative]:

@@ -308,11 +308,14 @@ def weighting_grid(
 ) -> FieldGrid:
     """Sample the four weighting functions of one mode (or all modes).
 
-    Each generator's mode-function integral is evaluated once per distinct
-    radius and shared across modes; ``threads`` is capped at the CPUs
-    this process may run on.  The field-channel components come from
-    the exact time-derivative integral, not finite differences.
+    Each generator's radii are sorted and split into 4 * ``threads`` chunks
+    for a pool of ``threads`` workers (capped at this process's CPUs), the
+    same way at every thread count; equal radii share a chunk, so each
+    distinct radius is evaluated once and shared across modes.  The field
+    components come from the exact time-derivative integral.
     """
+    from concurrent.futures import ThreadPoolExecutor  # looked up per call, so it can be patched
+
     d = modes.dimension
     if spec.dimension != d:
         raise ConfigurationError(f"grid has {spec.dimension} axes, expected {d}")
@@ -329,59 +332,39 @@ def weighting_grid(
         selected = [mode_index]
 
     pts = spec.points()
-    k = len(modes.generators)
-    npts = pts.shape[0]
-    if npts == 0:
+    if len(pts) == 0:
         raise ConfigurationError("grid is empty")
 
     # per-generator weighting components at time t
-    v1 = np.empty((k, npts))
-    v2 = np.empty((k, npts))
-    u1 = np.empty((k, npts))
-    u2 = np.empty((k, npts))
-    for j, gen in enumerate(modes.generators):
-        dx = np.linalg.norm(pts - np.asarray(gen.smearing.center), axis=1)
-        ev = ModeProfileEvaluator(gen, t, d, float(dx.max()), tol=tol)
-        if threads > 1 and npts > 1024:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # sorted by radius, so equal radii share a chunk and are evaluated once
-            chunks = np.array_split(np.argsort(dx, kind="stable"), threads * 4)
-            I = np.empty(npts, dtype=complex)
-            dI = np.empty(npts, dtype=complex)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [(c, pool.submit(ev.evaluate, dx[c])) for c in chunks if len(c)]
+    k = len(modes.generators)
+    v1, v2, u1, u2 = np.empty((4, k, len(pts)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for j, gen in enumerate(modes.generators):
+            dx = np.linalg.norm(pts - np.asarray(gen.smearing.center), axis=1)
+            ev = ModeProfileEvaluator(gen, t, d, float(dx.max()), tol=tol)
+            chunks = np.array_split(np.argsort(dx, kind="stable"), 4 * threads)
+            futures = [(c, pool.submit(ev.evaluate, dx[c])) for c in chunks if len(c)]
             for c, fut in futures:
-                I[c], dI[c] = fut.result()
-        else:
-            I, dI = ev.evaluate(dx)
-        v1[j] = 2.0 * dI.imag
-        v2[j] = -2.0 * I.imag
-        u1[j] = -2.0 * dI.real
-        u2[j] = 2.0 * I.real
+                I, dI = fut.result()
+                v1[j, c], v2[j, c] = 2.0 * dI.imag, -2.0 * I.imag
+                u1[j, c], u2[j, c] = -2.0 * dI.real, 2.0 * I.real
 
     shape = spec.shape
-    n_sel = len(selected)
-    out = {
-        name: np.empty((n_sel,) + shape)
-        for name in ("q_field", "q_momentum", "p_field", "p_momentum")
-    }
-    for row, m in enumerate(selected):
-        qc, pc = modes.q_coeffs[m], modes.p_coeffs[m]
-        qo, qf = qc[:k], qc[k:]
-        po, pf = pc[:k], pc[k:]
-        out["q_field"][row] = (qo @ v1 + qf @ u1).reshape(shape)
-        out["q_momentum"][row] = (qo @ v2 + qf @ u2).reshape(shape)
-        out["p_field"][row] = (po @ v1 + pf @ u1).reshape(shape)
-        out["p_momentum"][row] = (po @ v2 + pf @ u2).reshape(shape)
+
+    def weights(coeffs, v, u):
+        """coeffs[m, :k] @ v + coeffs[m, k:] @ u per selected mode m, on the grid."""
+        out = np.empty((len(selected),) + shape)
+        for row, m in enumerate(selected):
+            out[row] = (coeffs[m, :k] @ v + coeffs[m, k:] @ u).reshape(shape)
+        return out
 
     return FieldGrid(
         dimension=d,
         t=float(t),
         spec=spec,
         mode_indices=tuple(selected),
-        q_field=out["q_field"],
-        q_momentum=out["q_momentum"],
-        p_field=out["p_field"],
-        p_momentum=out["p_momentum"],
+        q_field=weights(modes.q_coeffs, v1, u1),
+        q_momentum=weights(modes.q_coeffs, v2, u2),
+        p_field=weights(modes.p_coeffs, v1, u1),
+        p_momentum=weights(modes.p_coeffs, v2, u2),
     )

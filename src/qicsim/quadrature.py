@@ -49,6 +49,9 @@ from .errors import QuadratureError
 
 MAX_SEGMENTS = 1 << 17  # segment cap of `oscillatory_integral`
 PANEL_NODES = 16  # Gauss-Legendre nodes per `panel_nodes` panel
+DAMPING_ETA0 = 0.04  # largest damping rate of `damped_tail_integral`
+DAMPING_RUNGS = 7  # its damping rates: DAMPING_ETA0 / 2^j, j < DAMPING_RUNGS
+DAMPING_NODES = 24  # its Gauss-Legendre nodes per segment
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -251,31 +254,25 @@ def oscillatory_integral(
         val_prev = val
 
 
-def damped_tail_integral(
-    integrand,
-    omega: float,
-    eta0: float = 0.04,
-    n_eta: int = 7,
-    nodes: int = 24,
-) -> tuple[complex, float]:
+def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
     """Independent evaluation of int_0^inf f(k) dk by damped-tail extrapolation.
 
-    Integrates f(k) e^{-eta k} (absolutely convergent) for eta = eta0 / 2^j
-    and extrapolates eta -> 0 with the model
+    Integrates f(k) e^{-eta k} (absolutely convergent) for eta = DAMPING_ETA0 / 2^j,
+    j < DAMPING_RUNGS, and extrapolates eta -> 0 with the model
     a0 + a1 eta + a2 eta^2 + a3 eta^2 ln eta + a4 eta^3 + a5 eta^3 ln eta.
     One integrand pass over the smallest eta's grid (segments of pi/(omega+1))
     serves every rung; rung eta damps and sums only its prefix, k <= 45/eta.
     Slow but accurate; intended for cross-checks, not production paths.
     """
     h = math.pi / (omega + 1.0)
-    etas = eta0 * 0.5 ** np.arange(n_eta)
+    etas = DAMPING_ETA0 * 0.5 ** np.arange(DAMPING_RUNGS)
     counts = [int(math.ceil(45.0 / eta / h)) for eta in etas]
     chunk, block = 50000, 2500  # rungs sum per chunk (fixes the bytes); block divides chunk
-    seg = np.empty((n_eta, chunk), dtype=complex)
-    vals = np.zeros(n_eta, dtype=complex)
+    seg = np.empty((DAMPING_RUNGS, chunk), dtype=complex)
+    vals = np.zeros(DAMPING_RUNGS, dtype=complex)
     for i0 in range(0, counts[-1], block):
         edges = h * np.arange(i0, min(i0 + block, counts[-1]) + 1)
-        k, w, half = _segment_nodes(edges, nodes)
+        k, w, half = _segment_nodes(edges, DAMPING_NODES)
         f = np.asarray(integrand(k.ravel())).reshape(k.shape)
         for j, n in enumerate(counts):
             m, c0 = min(n - i0, len(half)), i0 % chunk  # m: rung j's segments here
@@ -307,9 +304,5 @@ def panel_nodes(k_max: float, omega: float) -> tuple[np.ndarray, np.ndarray]:
     """
     h = math.pi / max(omega, 1.0)
     n_panels = max(int(math.ceil(k_max / h)), 1)
-    edges = np.linspace(0.0, k_max, n_panels + 1)
-    x, w = _gauss_legendre(PANEL_NODES)
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    pts = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x[None, :]
-    wts = np.broadcast_to(w[None, :], pts.shape) * half
-    return pts.ravel(), wts.ravel()
+    pts, w, half = _segment_nodes(np.linspace(0.0, k_max, n_panels + 1), PANEL_NODES)
+    return pts.ravel(), (w[None, :] * half[:, None]).ravel()

@@ -15,8 +15,6 @@ from .errors import ConfigurationError
 from .qic import Generator, GridAxis, GridSpec
 from .smearing import RadialSmearing
 
-PRESET_NAMES = ("table1", "single", "shockwave")
-
 
 def _origin(d: int) -> tuple[float, ...]:
     return (0.0,) * d
@@ -25,8 +23,6 @@ def _origin(d: int) -> tuple[float, ...]:
 def table1_scenario(d: int) -> ChannelScenario:
     """Sender ball of radius 1 at t=0; receiver shells (0,0.9), (1.1,2.9),
     (3.1,4) at t=2 with couplings 0.2; sender coupling 1 encodes bit 1."""
-    if d not in (2, 3):
-        raise ConfigurationError("dimension must be 2 or 3")
     alice = Generator(
         smearing=RadialSmearing.hard_ball(1.0, _origin(d), d),
         coupling_time=0.0,
@@ -47,8 +43,6 @@ def table1_scenario(d: int) -> ChannelScenario:
 def single_qic_scenario(d: int) -> list[Generator]:
     """One Gaussian emitter, sigma = 0.2, centered at the origin, firing at
     t = 0.  Default snapshot times: 0, 2, 4."""
-    if d not in (2, 3):
-        raise ConfigurationError("dimension must be 2 or 3")
     return [
         Generator(
             smearing=RadialSmearing.gaussian(0.2, _origin(d), d),
@@ -61,8 +55,6 @@ def single_qic_scenario(d: int) -> list[Generator]:
 def shockwave_scenario(d: int) -> list[Generator]:
     """Three Gaussian emitters, sigma = 0.2, fired at t_i = i from
     x_i = (5 + 1.5 i, 0[, 0]).  Default snapshot time: 8."""
-    if d not in (2, 3):
-        raise ConfigurationError("dimension must be 2 or 3")
     gens = []
     for i in (1, 2, 3):
         center = (5.0 + 1.5 * i,) + (0.0,) * (d - 1)
@@ -76,20 +68,22 @@ def shockwave_scenario(d: int) -> list[Generator]:
     return gens
 
 
-DEFAULT_TIMES = {"single": (0.0, 2.0, 4.0), "shockwave": (8.0,)}
+# name -> (kind, builder, default snapshot times, default grid's x and y axes)
+PRESETS = {
+    "table1": ("channel", table1_scenario, (), None),
+    "single": ("evolve", single_qic_scenario, (0.0, 2.0, 4.0),
+               (GridAxis(-6.0, 6.0, 0.05), GridAxis(-6.0, 6.0, 0.05))),
+    "shockwave": ("evolve", shockwave_scenario, (8.0,),
+                  (GridAxis(0.0, 16.0, 0.1), GridAxis(-8.0, 8.0, 0.1))),
+}
 
 
 def default_grid(name: str, d: int) -> GridSpec:
-    """Figure-reproduction grids (implementation choices, desk-scale)."""
-    if name == "single":
-        axes = [GridAxis(-6.0, 6.0, 0.05), GridAxis(-6.0, 6.0, 0.05)]
-    elif name == "shockwave":
-        axes = [GridAxis(0.0, 16.0, 0.1), GridAxis(-8.0, 8.0, 0.1)]
-    else:
+    """Figure-reproduction grids (implementation choices, desk-scale); z = 0 in d=3."""
+    axes = PRESETS[name][3] if name in PRESETS else None
+    if axes is None:
         raise ConfigurationError(f"no default grid for preset {name!r}")
-    if d == 3:
-        axes.append(0.0)
-    return GridSpec(axes=tuple(axes))
+    return GridSpec(axes=axes + ((0.0,) if d == 3 else ()))
 
 
 @dataclass(frozen=True)
@@ -103,19 +97,11 @@ class ScenarioPreset:
 
 
 def preset(name: str, d: int) -> ScenarioPreset:
-    if name == "table1":
-        return ScenarioPreset(name, d, "channel", table1_scenario(d), (), None)
-    if name == "single":
-        return ScenarioPreset(
-            name, d, "evolve", single_qic_scenario(d), DEFAULT_TIMES["single"],
-            default_grid("single", d),
-        )
-    if name == "shockwave":
-        return ScenarioPreset(
-            name, d, "evolve", shockwave_scenario(d), DEFAULT_TIMES["shockwave"],
-            default_grid("shockwave", d),
-        )
-    raise ConfigurationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in PRESETS:
+        raise ConfigurationError(f"unknown preset {name!r}; choose from {tuple(PRESETS)}")
+    kind, build, times, axes = PRESETS[name]
+    return ScenarioPreset(name, d, kind, build(d), times,
+                          None if axes is None else default_grid(name, d))
 
 
 def _serialize_generator(g: Generator) -> dict:

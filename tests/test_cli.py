@@ -233,7 +233,16 @@ _EVOLVE = ["evolve", "--t", "1", "--grid", "x=0:1:0.5,y=0,z=0"]
     (_EVOLVE, {"scenario": {"generators": [{k: v for k, v in _SHELL.items() if k != "r_outer"}]}},
      "'r_outer'"),
     (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "sigma": "x"}]}}, "'sigma'"),
-], ids=["grid-value", "grid-inf", "config-json", "no-alice", "no-r-outer", "sigma-text"])
+    (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "center": 5}]}}, "'center'"),
+    (["capacity"], {"scenario": {"alice": 3, "bobs": [_SHELL] * 3}}, "'alice'"),
+    (["capacity"], {"scenario": {"alice": _SHELL, "bobs": 5}}, "'bobs'"),
+    (_EVOLVE, {"scenario": {"generators": 5}}, "'generators'"),
+    (_EVOLVE, {"scenario": {"generators": [5]}}, "'generators'"),
+    (["evolve", "--preset", "single", "--t", "1"], {"grid": 5}, "'grid'"),
+    (["capacity", "--preset", "table1"], {"out": 5}, "'out'"),
+], ids=["grid-value", "grid-inf", "config-json", "no-alice", "no-r-outer", "sigma-text",
+        "center-number", "alice-number", "bobs-number", "generators-number",
+        "generator-number", "grid-number", "out-number"])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, argv, config, named):
     argv = argv + ["--out", str(tmp_path / "out")]
     if config is not None:

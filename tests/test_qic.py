@@ -266,13 +266,21 @@ class TestWeightingGrid:
 
     def test_threads_do_not_change_bytes(self):
         # emitters at x = 6.5, 8, 9.5 on y = 0: on lattice points of the first
-        # grid (shared radii), between those of the second; both grids have
-        # more than the 1024 points below which the evaluation stays serial
-        modes = build_qic(shockwave_scenario(2), 2)
-        for x0 in (0.0, 0.1):
-            spec = GridSpec(axes=(GridAxis(x0, x0 + 16.0, 0.25), GridAxis(-4.0, 4.0, 0.25)))
-            one = weighting_grid(modes, None, 8.0, spec, threads=1)
-            two = weighting_grid(modes, None, 8.0, spec, threads=2)
+        # grid (shared radii), between those of the second and of the small
+        # third (153 points); the hard shell 0.5-1.25 at (0.5, -0.25) sees its
+        # 6 grid points at distances 0, 1 and sqrt 2, off the light-cone
+        # edges 0.75, 1.5, 2.5, 3.25, one point per chunk at threads=2
+        shockwave = build_qic(shockwave_scenario(2), 2)
+        shell = Generator(RadialSmearing.hard_shell(0.5, 1.25, (0.5, -0.25), 2), 0.0)
+        cases = [
+            (shockwave, 8.0, GridSpec(axes=(GridAxis(x0, x0 + 16.0, step), GridAxis(-4.0, 4.0, step))))
+            for x0, step in ((0.0, 0.25), (0.1, 0.25), (0.1, 1.0))
+        ]
+        cases.append((build_qic([shell], 2), 2.0,
+                      GridSpec(axes=(GridAxis(-0.5, 1.5, 1.0), GridAxis(-1.25, -0.25, 1.0)))))
+        for modes, t, spec in cases:
+            one = weighting_grid(modes, None, t, spec, threads=1)
+            two = weighting_grid(modes, None, t, spec, threads=2)
             for name in ("q_field", "q_momentum", "p_field", "p_momentum"):
                 assert np.array_equal(getattr(one, name), getattr(two, name))
 
@@ -302,9 +310,10 @@ class TestWeightingGrid:
         modes = build_qic(single_qic_scenario(3), 3)
         spec = GridSpec(axes=(GridAxis(-2.0, 2.0, 0.1), GridAxis(-2.0, 2.0, 0.1), 0.0))
         ncpu = len(os.sched_getaffinity(0))
-        # large, but small enough that an unclamped chunk count stays cheap
+        # 1681 points: an unclamped request would split them into 256 * ncpu
+        # chunks, mostly of one radius or none
         many = weighting_grid(modes, 0, 2.0, spec, threads=64 * ncpu)
-        assert workers == ([ncpu] if ncpu > 1 else [])
+        assert workers == [ncpu]
         one = weighting_grid(modes, 0, 2.0, spec, threads=1)
         assert np.array_equal(many.q_momentum, one.q_momentum)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from qicsim import quadrature
 from qicsim.quadrature import damped_tail_integral, segment_integrals
 
 
@@ -46,8 +47,8 @@ def test_damped_tail_evaluates_each_node_once():
         points.append(np.size(k))
         return algebraic(k)
 
-    omega, eta0, n_eta, nodes = 3.0, 0.04, 7, 24
-    damped_tail_integral(counted, omega, eta0=eta0, n_eta=n_eta, nodes=nodes)
+    omega = 3.0
+    damped_tail_integral(counted, omega)
     h = math.pi / (omega + 1.0)
-    eta_min = eta0 * 0.5 ** (n_eta - 1)
-    assert sum(points) == int(math.ceil(45.0 / eta_min / h)) * nodes
+    eta_min = quadrature.DAMPING_ETA0 * 0.5 ** (quadrature.DAMPING_RUNGS - 1)
+    assert sum(points) == int(math.ceil(45.0 / eta_min / h)) * quadrature.DAMPING_NODES
