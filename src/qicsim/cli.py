@@ -60,10 +60,17 @@ def _require(obj: dict, keys, context: str) -> None:
 
 
 def _number(value, what: str, kind=float):
+    """``value`` as a ``kind``: never a boolean, and a whole number for ``int``."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{what}: {value!r} is not a number") from exc
+        if isinstance(value, bool):
+            raise TypeError(value)
+        num = float(value)
+        if kind is int and not num.is_integer():
+            raise ValueError(value)
+        return kind(num)
+    except (TypeError, ValueError, OverflowError) as exc:
+        whole = " whole" if kind is int else ""
+        raise ConfigurationError(f"{what}: {value!r} is not a{whole} number") from exc
 
 
 def _typed(value, kind, what: str):
@@ -96,7 +103,7 @@ def _setting(args, cfg: dict, key: str, default=None, kind=None):
         val = cfg.get(key)
     if val is None:
         val = default
-    return val if kind is None or val is None else _number(val, key, kind)
+    return val if kind is None or val is None else _number(val, f"config key {key!r}", kind)
 
 
 def _generator_from_spec(spec: dict, dimension: int, what: str) -> Generator:
@@ -232,7 +239,8 @@ def cmd_evolve(args, forced_preset: str | None = None) -> int:
     elif t_setting is None:
         raise ConfigurationError("no snapshot time: pass --t")
     else:
-        times = [_number(t, "t") for t in np.atleast_1d(t_setting).tolist()]
+        times = [_number(t, "snapshot time 't'")
+                 for t in (t_setting if isinstance(t_setting, list) else [t_setting])]
 
     grid_setting = _setting(args, cfg, "grid")
     if grid_setting is not None:

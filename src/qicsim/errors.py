@@ -22,12 +22,15 @@ class QuadratureError(RuntimeError):
 
 @contextmanager
 def naming(where: str):
-    """Re-raise a `QuadratureError` from the block with ``where: `` prefixed,
-    keeping its value and estimate (and the original as the cause)."""
+    """Re-raise a `QuadratureError` or `ConfigurationError` from the block
+    with ``where: `` prefixed, keeping a quadrature error's value and
+    estimate (and the original as the cause)."""
     try:
         yield
     except QuadratureError as exc:
         raise QuadratureError(f"{where}: {exc}", exc.value, exc.estimate) from exc
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 class NumericConsistencyError(RuntimeError):

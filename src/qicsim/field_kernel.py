@@ -21,6 +21,9 @@ finite sum of terms c k^-p e^{i omega k}; d=3 hard-shell pairings and mode
 functions are the exact sum of those terms' finite parts, with a rounding
 bound as the error.  d=2, Gaussian pairings and the rare d=3 pair or radius
 whose bound is too loose go through the radial quadrature (`quadrature`).
+One function, `radial_integral`, makes that choice for every pairing and
+mode function; the two paths differ only in the scale the bound is held
+against.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import dawsn, j0
@@ -44,9 +46,6 @@ from .smearing import (
     radial_ft,
     support_radius,
 )
-
-if TYPE_CHECKING:  # Generator lives one layer up; only attributes are used here
-    from .qic import Generator
 
 
 @dataclass
@@ -176,24 +175,29 @@ def _finite_part(terms) -> tuple[complex, float, bool]:
     return complex(math.fsum(re), math.fsum(im)), math.fsum(mag), divergent
 
 
-def _closed_form_pairing(si, sj, dx: float, tau: float, tol: float):
-    """(S_ij, rounding bound) from the finite-part sum, or None where the
-    bound exceeds tol times the Cauchy-Schwarz scale sqrt(S_ii S_jj)."""
-    val, mag, _ = _finite_part(_shell_terms(dx, tau, (si, sj)))
-    scale = 1.0
-    for s in (si, sj):
-        self_val, self_mag, _ = _finite_part(_shell_terms(0.0, 0.0, (s, s)))
-        scale *= max(self_val.real - _ROUNDING * self_mag, 0.0)
-    err = _ROUNDING * mag
-    return (val, err) if err <= tol * math.sqrt(scale) else None
+def _finite_part_applies(d: int, profiles) -> bool:
+    return d == 3 and all(s.kind == HARD_SHELL for s in profiles)
 
 
-def _check_pair(gen_i: "Generator", gen_j: "Generator", d: int) -> None:
-    for g in (gen_i, gen_j):
-        if g.smearing.dimension != d:
-            raise ConfigurationError(
-                f"generator smearing dimension {g.smearing.dimension} != requested {d}"
-            )
+def radial_integral(d: int, dx: float, tau: float, profiles, derivative: bool = False,
+                    tol: float = 1e-10, scale: float | None = None) -> tuple[complex, float]:
+    """The radial integral of `_radial_integrand` with its error estimate.
+
+    Given a ``scale`` and only d=3 hard shells, the exact finite-part sum
+    serves wherever its rounding bound 8 eps sum|terms| is within
+    ``tol * scale``; a sum that diverges (a light-cone edge) raises
+    `ConfigurationError`.  Everything else goes through the oscillatory
+    quadrature, whose estimate is returned.
+    """
+    if scale is not None and _finite_part_applies(d, profiles):
+        val, mag, divergent = _finite_part(_shell_terms(dx, tau, profiles, derivative))
+        if divergent:
+            raise ConfigurationError("diverges on a light-cone edge")
+        if _ROUNDING * mag <= tol * scale:
+            return val, _ROUNDING * mag
+    integrand, groups, decay, power = _radial_integrand(d, dx, tau, profiles, derivative)
+    return oscillatory_integral(integrand, groups, phase_freq=tau, gauss_decay=decay,
+                                tol=tol, envelope_power=power)
 
 
 def _pair_geometry(gen_i, gen_j):
@@ -205,20 +209,18 @@ def _pair_geometry(gen_i, gen_j):
 
 
 def pairing_detail(gen_i, gen_j, d: int, tol: float = 1e-10) -> tuple[complex, float]:
-    """Pairing S_ij with its error estimate: for two d=3 hard shells the
-    exact finite-part sum and its rounding bound, else (or where that bound
-    exceeds tol sqrt(S_ii S_jj)) the oscillatory quadrature's estimate."""
-    _check_pair(gen_i, gen_j, d)
+    """Pairing S_ij with its error estimate (`radial_integral`); for two d=3
+    hard shells the finite-part sum's scale is sqrt(S_ii S_jj), from the
+    self-pairings' sums less their rounding bounds."""
+    profiles = (gen_i.smearing, gen_j.smearing)
+    if {s.dimension for s in profiles} != {d}:
+        raise ConfigurationError(f"smearing dimensions {[s.dimension for s in profiles]} != {d}")
     dx, tau = _pair_geometry(gen_i, gen_j)
-    si, sj = gen_i.smearing, gen_j.smearing
-    if d == 3 and si.kind == sj.kind == HARD_SHELL:
-        closed = _closed_form_pairing(si, sj, dx, tau, tol)
-        if closed is not None:
-            return closed
-    integrand, groups, decay, power = _radial_integrand(
-        d, dx, tau, (gen_i.smearing, gen_j.smearing))
-    return oscillatory_integral(integrand, groups, phase_freq=tau, gauss_decay=decay,
-                                tol=tol, envelope_power=power)
+    scale = None
+    if _finite_part_applies(d, profiles):
+        selfs = [_finite_part(_shell_terms(0.0, 0.0, (s, s))) for s in profiles]
+        scale = math.sqrt(math.prod(max(v.real - _ROUNDING * m, 0.0) for v, m, _ in selfs))
+    return radial_integral(d, dx, tau, profiles, tol=tol, scale=scale)
 
 
 def pairing(gen_i, gen_j, d: int, tol: float = 1e-10) -> complex:
@@ -228,14 +230,14 @@ def pairing(gen_i, gen_j, d: int, tol: float = 1e-10) -> complex:
 
 def pairing_damped(gen_i, gen_j, d: int) -> tuple[complex, float]:
     """Independent damped-tail evaluation of the pairing (cross-check path)."""
-    _check_pair(gen_i, gen_j, d)
     si, sj = gen_i.smearing, gen_j.smearing
+    if {si.dimension, sj.dimension} != {d}:
+        raise ConfigurationError(f"smearing dimensions {[si.dimension, sj.dimension]} != {d}")
     dx, tau = _pair_geometry(gen_i, gen_j)
-    integrand, groups, decay, _ = _radial_integrand(d, dx, tau, (si, sj))
-    if decay > 0.0:
+    if GAUSSIAN in (si.kind, sj.kind):
         # absolutely convergent already; a single plain evaluation suffices
-        return oscillatory_integral(integrand, groups, phase_freq=tau, gauss_decay=decay,
-                                    tol=1e-12)
+        return radial_integral(d, dx, tau, (si, sj), tol=1e-12)
+    integrand = _radial_integrand(d, dx, tau, (si, sj))[0]
     omega = abs(tau) + dx + sum(ft_frequencies(si)) + sum(ft_frequencies(sj))
     return damped_tail_integral(integrand, omega)
 
@@ -330,23 +332,6 @@ def _gaussian_mode_closed(sigma: float, T, dx, amplitude: float = 1.0):
     return amplitude * I, amplitude * dI
 
 
-def mode_function_by_quadrature(gen, t: float, dx: float, d: int, derivative: bool = False,
-                                tol: float = 1e-10) -> tuple[complex, float]:
-    """I(t, x) (or its exact dI/dt) at distance ``dx = |x - x0|`` from the
-    generator's center, by the radial oscillatory quadrature.
-
-    Works for every supported profile; it cross-checks the closed forms (d=3
-    Gaussians and hard shells) and fixed-node rule (d=2) of `ModeProfileEvaluator`.
-    """
-    s = gen.smearing
-    if s.dimension != d:
-        raise ConfigurationError("smearing dimension mismatch")
-    tau = t - gen.coupling_time  # e^{-ik(t0 - t)} = e^{ik tau}
-    integrand, groups, decay, power = _radial_integrand(d, float(dx), tau, (s,), derivative)
-    return oscillatory_integral(integrand, groups, phase_freq=tau, gauss_decay=decay,
-                                tol=tol, envelope_power=power)
-
-
 class ModeProfileEvaluator:
     """Evaluates I(t, .) and dI/dt(t, .) for one generator on many radii.
 
@@ -358,12 +343,12 @@ class ModeProfileEvaluator:
     how callers chunk the radii -- grid evaluations stay bit-identical under
     any threading.
 
-    A d=3 hard shell's value at r is taken from the finite-part sum where
-    its rounding bound is within tol times the sum of |terms| at r = 0 for
-    the same generator, time and quantity (a scale that does not vanish
-    where the value does); elsewhere (r -> 0, where the terms cancel like
-    1/r) the quadrature serves that radius.  A radius on a light-cone edge
-    where I or dI/dt diverges raises `ConfigurationError`.
+    Hard shells go through `radial_integral` radius by radius.  In d=3 its
+    scale is the sum of |terms| at r = 0 for the same generator, time and
+    quantity (a scale that does not vanish where the value does), so the
+    quadrature serves only where the terms cancel (r -> 0, like 1/r).  A
+    radius on a light-cone edge where I or dI/dt diverges raises
+    `ConfigurationError`.
     """
 
     def __init__(self, gen, t: float, d: int, dx_max: float, tol: float = 1e-10):
@@ -375,8 +360,8 @@ class ModeProfileEvaluator:
         s = gen.smearing
         self._gaussian_closed = s.kind == GAUSSIAN and d == 3
         self._nodes = None
-        self._shell_scale = None
-        if s.kind == HARD_SHELL and d == 3:
+        self._shell_scale = (None, None)
+        if _finite_part_applies(d, (s,)):
             self._shell_scale = tuple(_finite_part(_shell_terms(0.0, tau, (s,), der))[1]
                                       for der in (False, True))
         if s.kind == GAUSSIAN and d == 2:
@@ -418,17 +403,8 @@ class ModeProfileEvaluator:
         # hard shells: per-radius finite-part sum (d=3) or quadrature
         for i, r in enumerate(u):
             for out, derivative in ((I, False), (dI, True)):
-                where = (f"{'dI/dt' if derivative else 'I'} at r={float(r)}, t={self.t}, "
-                         f"coupling_time={gen.coupling_time}")
-                if self._shell_scale is not None:
-                    val, mag, divergent = _finite_part(
-                        _shell_terms(float(r), self._tau, (gen.smearing,), derivative))
-                    if divergent:
-                        raise ConfigurationError(f"{where}: diverges on a light-cone edge")
-                    if _ROUNDING * mag <= self.tol * self._shell_scale[derivative]:
-                        out[i] = val
-                        continue
-                with naming(where):
-                    out[i], _ = mode_function_by_quadrature(gen, self.t, r, self.d,
-                                                            derivative, self.tol)
+                with naming(f"{'dI/dt' if derivative else 'I'} at r={float(r)}, t={self.t}, "
+                            f"coupling_time={gen.coupling_time}"):
+                    out[i], _ = radial_integral(self.d, float(r), self._tau, (gen.smearing,),
+                                                derivative, self.tol, self._shell_scale[derivative])
         return I, dI

@@ -31,15 +31,13 @@ from .smearing import RadialSmearing
 class Generator:
     """One instantaneous coupling event: profile, time, strength.
 
-    ``detector_gap`` is carried for completeness; every result in this
-    package is independent of it (the detectors sit in their ground states
-    until the delta coupling fires).
+    No detector gap appears: the detectors sit in their ground states until
+    the delta coupling fires, so every result is independent of it.
     """
 
     smearing: RadialSmearing
     coupling_time: float
     coupling: float = 1.0
-    detector_gap: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.coupling) and math.isfinite(self.coupling_time)):
@@ -308,10 +306,10 @@ def weighting_grid(
 ) -> FieldGrid:
     """Sample the four weighting functions of one mode (or all modes).
 
-    Each generator's radii are sorted and split into 4 * ``threads`` chunks
-    for a pool of ``threads`` workers (capped at this process's CPUs), the
-    same way at every thread count; equal radii share a chunk, so each
-    distinct radius is evaluated once and shared across modes.  The field
+    Each generator's distinct radii are sorted and split into 4 * ``threads``
+    chunks for a pool of ``threads`` workers (capped at this process's
+    CPUs), the same way at every thread count; equal radii share a chunk, so
+    each distinct radius is evaluated once and shared across modes.  The field
     components come from the exact time-derivative integral.
     """
     from concurrent.futures import ThreadPoolExecutor  # looked up per call, so it can be patched
@@ -342,8 +340,11 @@ def weighting_grid(
         for j, gen in enumerate(modes.generators):
             dx = np.linalg.norm(pts - np.asarray(gen.smearing.center), axis=1)
             ev = ModeProfileEvaluator(gen, t, d, float(dx.max()), tol=tol)
-            chunks = np.array_split(np.argsort(dx, kind="stable"), 4 * threads)
-            futures = [(c, pool.submit(ev.evaluate, dx[c])) for c in chunks if len(c)]
+            order = np.argsort(dx, kind="stable")
+            starts = np.flatnonzero(np.diff(dx[order], prepend=-1.0))  # where each radius begins
+            cuts = [part[0] for part in np.array_split(starts, 4 * threads)[1:] if len(part)]
+            chunks = np.split(order, cuts)
+            futures = [(c, pool.submit(ev.evaluate, dx[c])) for c in chunks]
             for c, fut in futures:
                 I, dI = fut.result()
                 v1[j, c], v2[j, c] = 2.0 * dI.imag, -2.0 * I.imag

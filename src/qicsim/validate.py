@@ -156,33 +156,6 @@ def check_no_signaling() -> list[CheckResult]:
     return out
 
 
-def check_gap_independence() -> list[CheckResult]:
-    rng = np.random.default_rng(17)
-    sc = table1_scenario(3)
-    moments = scenario_moments(sc)
-    base = [joint_distribution(sc, b, moments).probs for b in (0, 1)]
-    gapped_alice = Generator(
-        smearing=sc.alice.smearing,
-        coupling_time=sc.alice.coupling_time,
-        coupling=sc.alice.coupling,
-        detector_gap=float(rng.uniform(0.1, 5.0)),
-    )
-    gapped_bobs = tuple(
-        Generator(smearing=b.smearing, coupling_time=b.coupling_time,
-                  coupling=b.coupling, detector_gap=float(rng.uniform(0.1, 5.0)))
-        for b in sc.bobs
-    )
-    from .channel import make_channel_scenario
-
-    sc2 = make_channel_scenario(gapped_alice, gapped_bobs, 3)
-    moments2 = scenario_moments(sc2)
-    same = all(
-        np.array_equal(base[b], joint_distribution(sc2, b, moments2).probs)
-        for b in (0, 1)
-    )
-    return [CheckResult("gap independence", same, 0.0, 0.0, "bitwise identical")]
-
-
 def check_superadditivity() -> list[CheckResult]:
     out = []
     for d in (3, 2):
@@ -217,7 +190,6 @@ CHECKS = {
     "microcausality": check_microcausality,
     "normalization": check_normalization,
     "no-signaling": check_no_signaling,
-    "gap": check_gap_independence,
     "superadditivity": check_superadditivity,
     "huygens": check_huygens,
 }

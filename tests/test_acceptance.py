@@ -84,7 +84,6 @@ PROPERTY_CHECKS = (
     "microcausality",
     "normalization",
     "no-signaling",
-    "gap",
 )
 
 

@@ -83,23 +83,6 @@ class TestJointDistribution:
                 for z, p in twin.items():
                     assert ours.probs[z] == pytest.approx(p, abs=1e-13)
 
-    def test_gap_independence_is_bitwise(self, table1_3, moments_3):
-        rng = np.random.default_rng(53)
-        gapped = make_channel_scenario(
-            Generator(table1_3.alice.smearing, 0.0, 1.0,
-                      detector_gap=float(rng.uniform(0.1, 5.0))),
-            tuple(
-                Generator(b.smearing, b.coupling_time, b.coupling,
-                          detector_gap=float(rng.uniform(0.1, 5.0)))
-                for b in table1_3.bobs
-            ),
-            3,
-        )
-        for bit in (0, 1):
-            a = joint_distribution(table1_3, bit, moments_3)
-            b = joint_distribution(gapped, bit, moments_3)
-            assert np.array_equal(a.probs, b.probs)
-
 
 def sign_sum_reference(V, m, couplings, lam_alice):
     """The 2 * 4^n sign sum term by term (sender sign, signs, primed

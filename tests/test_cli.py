@@ -221,6 +221,7 @@ class TestEvolveCommand:
 _GAUSS = {"kind": "gaussian", "sigma": 1.0, "center": [0, 0, 0], "t": 0}
 _SHELL = {"kind": "hard_shell", "r_inner": 0.5, "r_outer": 1.0, "center": [0, 0, 0], "t": 0}
 _EVOLVE = ["evolve", "--t", "1", "--grid", "x=0:1:0.5,y=0,z=0"]
+_SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,z=0"]
 
 
 @pytest.mark.parametrize("argv, config, named", [
@@ -240,9 +241,16 @@ _EVOLVE = ["evolve", "--t", "1", "--grid", "x=0:1:0.5,y=0,z=0"]
     (_EVOLVE, {"scenario": {"generators": [5]}}, "'generators'"),
     (["evolve", "--preset", "single", "--t", "1"], {"grid": 5}, "'grid'"),
     (["capacity", "--preset", "table1"], {"out": 5}, "'out'"),
+    (["capacity", "--preset", "table1"], {"dimension": 2.5}, "'dimension'"),
+    (_SINGLE, {"threads": 1.9}, "'threads'"),
+    (_SINGLE[:3] + _SINGLE[5:], {"t": True}, "'t'"),
+    (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "coupling": True}]}}, "'coupling'"),
+    (["capacity", "--preset", "table1"], '{"dimension": Infinity}', "'dimension'"),
+    (_SINGLE, '{"threads": Infinity}', "'threads'"),
 ], ids=["grid-value", "grid-inf", "config-json", "no-alice", "no-r-outer", "sigma-text",
         "center-number", "alice-number", "bobs-number", "generators-number",
-        "generator-number", "grid-number", "out-number"])
+        "generator-number", "grid-number", "out-number", "dimension-fraction",
+        "threads-fraction", "t-boolean", "coupling-boolean", "dimension-inf", "threads-inf"])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, argv, config, named):
     argv = argv + ["--out", str(tmp_path / "out")]
     if config is not None:
@@ -253,6 +261,14 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, argv, config, named
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("value", (3, 3.0, "3"))
+def test_whole_number_settings_accepted(tmp_path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dimension": value, "threads": value}))
+    assert main(_SINGLE + ["--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+    assert read_grid_csv(tmp_path / "out.csv")[1].shape == (3, 5)  # x and one mode
 
 
 class TestValidateCommand:

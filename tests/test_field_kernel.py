@@ -3,16 +3,18 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qicsim.errors import ConfigurationError, QuadratureError
 from qicsim.field_kernel import (
     ModeProfileEvaluator,
     _gaussian_mode_closed,
-    mode_function_by_quadrature,
     pairing,
     pairing_damped,
     pairing_detail,
     pairing_matrix,
+    radial_integral,
     spacelike_separated,
 )
 from qicsim.qic import Generator
@@ -36,6 +38,11 @@ def mode_values(gen, t, x, d):
     r = float(np.linalg.norm(np.subtract(x, gen.smearing.center)))
     I, dI = ModeProfileEvaluator(gen, t, d, r).evaluate([r])
     return complex(I[0]), complex(dI[0])
+
+
+def quadrature_mode(gen, t, r, d, derivative=False):
+    """I(t, r) or dI/dt by the oscillatory quadrature: `radial_integral` with no scale."""
+    return radial_integral(d, float(r), t - gen.coupling_time, (gen.smearing,), derivative)[0]
 
 
 def random_generator(rng, d):
@@ -138,7 +145,7 @@ class TestModeFunction:
             t = float(rng.uniform(-6, 6))
             x = rng.uniform(-5, 5, size=3)
             closed = mode_values(g, t, x, 3)[0]
-            quad, _ = mode_function_by_quadrature(g, t, float(np.linalg.norm(x)), 3)
+            quad = quadrature_mode(g, t, np.linalg.norm(x), 3)
             assert abs(closed - quad) <= 1e-8 * (1.0 + abs(closed))
 
     def test_imaginary_part_vanishes_at_coupling_time(self):
@@ -251,8 +258,8 @@ class TestSamplesAndEvaluators:
             ev = ModeProfileEvaluator(gen, 3.0, d, float(radii.max()))
             I, dI = ev.evaluate(radii)
             for r, iv, div in zip(radii, I, dI):
-                quad, _ = mode_function_by_quadrature(gen, 3.0, r, d)
-                quad_dt, _ = mode_function_by_quadrature(gen, 3.0, r, d, derivative=True)
+                quad = quadrature_mode(gen, 3.0, r, d)
+                quad_dt = quadrature_mode(gen, 3.0, r, d, derivative=True)
                 assert abs(iv - quad) <= 1e-9 * (1 + abs(iv))
                 assert abs(div - quad_dt) <= 1e-8 * (1 + abs(div))
 
@@ -279,13 +286,13 @@ class TestSamplesAndEvaluators:
         dx = rng.permutation(np.repeat(distinct, 3)).reshape(3, -1)
         ev = ModeProfileEvaluator(gen, 2.0, d, float(distinct.max()))
         calls = []
-        quadrature = fk.mode_function_by_quadrature
+        quadrature = fk.oscillatory_integral
 
         def counted(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(1)
             return quadrature(*args, **kwargs)
 
-        monkeypatch.setattr(fk, "mode_function_by_quadrature", counted)
+        monkeypatch.setattr(fk, "oscillatory_integral", counted)
         I, dI = ev.evaluate(dx)
         assert I.shape == dI.shape == dx.shape
         # only the d=2 hard shell reaches the quadrature; d=3 shells take the finite-part sum
@@ -377,14 +384,11 @@ def shell_pairs(table1_3):
 
 
 def quadrature_pairing(gi, gj):
-    """S_ij by the oscillatory quadrature on the radial integrand."""
+    """S_ij by the oscillatory quadrature: `radial_integral` with no scale."""
     import qicsim.field_kernel as fk
-    from qicsim.quadrature import oscillatory_integral
 
     dx, tau = fk._pair_geometry(gi, gj)
-    integrand, groups, decay, power = fk._radial_integrand(3, dx, tau, (gi.smearing, gj.smearing))
-    return oscillatory_integral(integrand, groups, phase_freq=tau, gauss_decay=decay,
-                                envelope_power=power)[0]
+    return radial_integral(3, dx, tau, (gi.smearing, gj.smearing))[0]
 
 
 class TestShellFiniteParts:
@@ -443,10 +447,10 @@ class TestShellFiniteParts:
         # off the light-cone edges 2.1 -+ 0.5, 2.1 -+ 1.25
         for r in (0.0, 0.3, 1.0, 1.2, 2.0, 2.5, 3.0, 4.0):
             I, dI = mode_values(gen, 2.1, (r, 0.0, 0.0), 3)
-            assert abs(I - mode_function_by_quadrature(gen, 2.1, r, 3)[0]) <= 1e-10
-            assert abs(dI - mode_function_by_quadrature(gen, 2.1, r, 3, True)[0]) <= 1e-10
+            assert abs(I - quadrature_mode(gen, 2.1, r, 3)) <= 1e-10
+            assert abs(dI - quadrature_mode(gen, 2.1, r, 3, True)) <= 1e-10
         # radii where the quadrature stalls at its segment cap
-        monkeypatch.setattr(fk, "mode_function_by_quadrature", None)
+        monkeypatch.setattr(fk, "oscillatory_integral", None)
         stalls = [math.sqrt(2.5), 1.59, 1.599, 1.6 - 1e-6, 3.36]
         I, dI = ModeProfileEvaluator(gen, 2.1, 3, 3.36).evaluate(stalls)
         assert np.isfinite(I).all() and np.isfinite(dI).all()
@@ -458,3 +462,46 @@ class TestShellFiniteParts:
         gen = gen_shell(3, 0.5, 1.25)
         with pytest.raises(ConfigurationError, match=rf"dI/dt at r={r}, t=2\.1, coupling_time=0\.0"):
             ModeProfileEvaluator(gen, 2.1, 3, r).evaluate([r])
+
+
+# --------------------------------------------------------------------------
+# properties of `radial_integral` through both callers
+# --------------------------------------------------------------------------
+
+@st.composite
+def compact_generators(draw, d, kind):
+    """A generator of width <= 1.5 within 1 of the origin, firing at |t| <= 1."""
+    center = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(d))
+    t, scale = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.2, 1.5))
+    if kind == "gaussian":
+        return gen_gaussian(d, center, t, sigma=scale)
+    return gen_shell(d, draw(st.floats(0.0, 0.9)) * scale, scale, center, t)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("kinds", (("gaussian", "gaussian"), ("gaussian", "hard_shell"),
+                                   ("hard_shell", "hard_shell")), ids="-".join)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pairing_is_finite_with_estimate_or_typed_error(d, kinds, data):
+    gi, gj = (data.draw(compact_generators(d, kind)) for kind in kinds)
+    try:
+        val, err = pairing_detail(gi, gj, d)
+    except (QuadratureError, ConfigurationError):
+        return
+    assert math.isfinite(val.real) and math.isfinite(val.imag)
+    assert math.isfinite(err) and err >= 0.0
+
+
+@pytest.mark.parametrize("d, kind", ((2, "gaussian"), (3, "gaussian"), (3, "hard_shell")))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mode_functions_are_finite_or_typed_error(d, kind, data):
+    gen = data.draw(compact_generators(d, kind))
+    t = data.draw(st.floats(-3.0, 3.0))
+    radii = data.draw(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=8))
+    try:
+        I, dI = ModeProfileEvaluator(gen, t, d, max(radii)).evaluate(radii)
+    except (QuadratureError, ConfigurationError):
+        return
+    assert np.isfinite(I).all() and np.isfinite(dI).all()

@@ -284,6 +284,26 @@ class TestWeightingGrid:
             for name in ("q_field", "q_momentum", "p_field", "p_momentum"):
                 assert np.array_equal(getattr(one, name), getattr(two, name))
 
+    def test_each_distinct_radius_evaluated_once(self, monkeypatch):
+        # 41 x 41 lattice around the emitter: 435 distinct radii, many shared
+        # by 4 or 8 points; chunks cut at changes of radius never split a run
+        from qicsim.field_kernel import ModeProfileEvaluator
+
+        seen = []
+        distinct = ModeProfileEvaluator._evaluate_distinct
+
+        def counted(self, u):
+            seen.append(len(u))
+            return distinct(self, u)
+
+        monkeypatch.setattr(ModeProfileEvaluator, "_evaluate_distinct", counted)
+        modes = build_qic(single_qic_scenario(2), 2)
+        spec = GridSpec(axes=(GridAxis(-4.0, 4.0, 0.2), GridAxis(-4.0, 4.0, 0.2)))
+        for threads in (1, 2):
+            seen.clear()
+            weighting_grid(modes, None, 3.0, spec, threads=threads)
+            assert sum(seen) == 435, threads
+
     def test_threads_clamped_to_cpus(self, monkeypatch):
         import concurrent.futures
 
