@@ -35,8 +35,8 @@ from itertools import groupby
 import numpy as np
 from scipy.special import dawsn, j0
 
-from .errors import ConfigurationError, naming
-from .quadrature import damped_tail_integral, oscillatory_integral, panel_nodes
+from .errors import ConfigurationError, QuadratureError, naming
+from .quadrature import PANEL_NODES, damped_tail_integral, oscillatory_integral, panel_nodes
 from .smearing import (
     GAUSSIAN,
     HARD_SHELL,
@@ -185,9 +185,10 @@ def radial_integral(d: int, dx: float, tau: float, profiles, derivative: bool = 
 
     Given a ``scale`` and only d=3 hard shells, the exact finite-part sum
     serves wherever its rounding bound 8 eps sum|terms| is within
-    ``tol * scale``; a sum that diverges (a light-cone edge) raises
-    `ConfigurationError`.  Everything else goes through the oscillatory
-    quadrature, whose estimate is returned.
+    ``tol * scale``; a sum that diverges (a light-cone edge), or a failed
+    bound where the sum at dx = 0 diverges (terms cancel like 1/dx there),
+    raises `ConfigurationError`.  Everything else goes through the
+    oscillatory quadrature, whose estimate is returned.
     """
     if scale is not None and _finite_part_applies(d, profiles):
         val, mag, divergent = _finite_part(_shell_terms(dx, tau, profiles, derivative))
@@ -195,6 +196,8 @@ def radial_integral(d: int, dx: float, tau: float, profiles, derivative: bool = 
             raise ConfigurationError("diverges on a light-cone edge")
         if _ROUNDING * mag <= tol * scale:
             return val, _ROUNDING * mag
+        if _finite_part(_shell_terms(0.0, tau, profiles, derivative))[2]:
+            raise ConfigurationError("too close to a centre on a light-cone edge, where it diverges")
     integrand, groups, decay, power = _radial_integrand(d, dx, tau, profiles, derivative)
     return oscillatory_integral(integrand, groups, phase_freq=tau, gauss_decay=decay,
                                 tol=tol, envelope_power=power)
@@ -332,16 +335,24 @@ def _gaussian_mode_closed(sigma: float, T, dx, amplitude: float = 1.0):
     return amplitude * I, amplitude * dI
 
 
+def _bessel_sums(r: np.ndarray, k: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rows (I, dI/dt) at radii r: J0(r k) contracted with the real (K, 4)
+    weights.  einsum's own loop, unlike BLAS, gives each row the same bits
+    whatever the block height."""
+    return np.einsum("ij,jk->ik", j0(np.outer(r, k)), weights).view(complex)
+
+
 class ModeProfileEvaluator:
     """Evaluates I(t, .) and dI/dt(t, .) for one generator on many radii.
 
     This is the one mode-function path: Gaussian profiles use the closed
-    form (d=3) or a fixed node set (d=2), hard shells the exact finite-part
+    form (d=3) or one node set (d=2), hard shells the exact finite-part
     sum (d=3) or the radial quadrature (d=2); a single radius r is
-    ``evaluate([r])``.  The node set is fixed at construction (from the
-    largest radius that will be requested), so results are independent of
-    how callers chunk the radii -- grid evaluations stay bit-identical under
-    any threading.
+    ``evaluate([r])``.  The d=2 node set is fixed at construction: panels up
+    to the envelope's e^-40 point for the largest radius that will be
+    requested, with a node count certified by doubling (`_certified_nodes`).
+    Results are independent of how callers chunk the radii -- grid
+    evaluations stay bit-identical under any threading.
 
     Hard shells go through `radial_integral` radius by radius.  In d=3 its
     scale is the sum of |terms| at r = 0 for the same generator, time and
@@ -359,19 +370,36 @@ class ModeProfileEvaluator:
         self._tau = tau = self.t - gen.coupling_time  # e^{-ik(t0 - t)} = e^{ik tau}
         s = gen.smearing
         self._gaussian_closed = s.kind == GAUSSIAN and d == 3
-        self._nodes = None
         self._shell_scale = (None, None)
         if _finite_part_applies(d, (s,)):
             self._shell_scale = tuple(_finite_part(_shell_terms(0.0, tau, (s,), der))[1]
                                       for der in (False, True))
-        if s.kind == GAUSSIAN and d == 2:
-            g = ft_gauss_decay(s)
-            k_max = math.sqrt(184.0 / g)
-            omega = abs(tau) + dx_max
-            k, w = panel_nodes(k_max, omega)
-            # not `_radial_integrand`: this product order fixes the grid bytes
-            base = w * _measure(2, k) * radial_ft(s, k) * np.exp(1j * tau * k)
-            self._nodes = (k, base, base * (1j * k))
+        self._nodes = (self._certified_nodes(math.sqrt(80.0 / ft_gauss_decay(s)), dx_max)
+                       if s.kind == GAUSSIAN and d == 2 else None)
+
+    def _certified_nodes(self, k_max: float, dx_max: float) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes k on [0, k_max] and the real (K, 4) weights [Re, Im of w f, Re, Im
+        of w f ik], f the r = 0 integrand, for the first count n per panel
+        (PANEL_NODES, doubled) at which I and dI/dt at r = 0 and ``dx_max`` agree
+        with 2n nodes within tol * sum|w f|, a scale >= |I| at every r (|J0| <= 1)."""
+        def rule(n):
+            k, w = panel_nodes(k_max, abs(self._tau) + dx_max, n)
+            f = [w * _radial_integrand(2, 0.0, self._tau, (self.gen.smearing,), der)[0](k)
+                 for der in (False, True)]
+            return k, np.stack(f, axis=1).view(float)
+
+        radii = np.array([0.0, dx_max])
+        n, coarse, last = PANEL_NODES, rule(PANEL_NODES), np.inf
+        while True:
+            fine = rule(2 * n)
+            diff = np.abs(_bessel_sums(radii, *coarse) - _bessel_sums(radii, *fine)).max(axis=0)
+            excess = float(np.max(diff - self.tol * np.abs(coarse[1].view(complex)).sum(axis=0)))
+            if excess <= 0.0:
+                return coarse
+            if excess >= last:  # down to rounding: tol is out of reach
+                raise QuadratureError(f"d=2 Gaussian grid at t={self.t}: {n} and {2 * n} nodes "
+                                      f"per panel differ by {diff.max():.2e} (tol={self.tol:.1e})")
+            n, coarse, last = 2 * n, fine, excess
 
     def evaluate(self, dx) -> tuple[np.ndarray, np.ndarray]:
         """I and dI/dt at the radii ``dx`` (any shape), evaluated once per
@@ -386,20 +414,15 @@ class ModeProfileEvaluator:
         if self._gaussian_closed:
             T = gen.coupling_time - self.t
             return _gaussian_mode_closed(gen.smearing.sigma, T, u, gen.smearing.amplitude)
+        if self._nodes is not None:
+            k, weights = self._nodes
+            chunk = max(1, int(4e6 // len(k)))
+            sums = np.empty((len(u), 2), dtype=complex)
+            for i0 in range(0, len(u), chunk):
+                sums[i0 : i0 + chunk] = _bessel_sums(u[i0 : i0 + chunk], k, weights)
+            return sums[:, 0], sums[:, 1]
         I = np.empty(u.shape, dtype=complex)
         dI = np.empty(u.shape, dtype=complex)
-        if self._nodes is not None:
-            k, base, base_dt = self._nodes
-            chunk = max(1, int(4e6 // max(len(k), 1)))
-            for i0 in range(0, len(u), chunk):
-                block = u[i0 : i0 + chunk]
-                n = len(block)
-                # a one-row product takes BLAS's dot path, whose last bits
-                # differ from the matrix-vector path of every longer block
-                M = j0(np.outer(block if n > 1 else np.repeat(block, 2), k))
-                I[i0 : i0 + n] = (M @ base)[:n]
-                dI[i0 : i0 + n] = (M @ base_dt)[:n]
-            return I, dI
         # hard shells: per-radius finite-part sum (d=3) or quadrature
         for i, r in enumerate(u):
             for out, derivative in ((I, False), (dI, True)):

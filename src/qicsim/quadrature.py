@@ -13,8 +13,10 @@ module only as a fallback: `field_kernel` sums their integrals exactly.
 
 Strategy
 --------
-* Gaussian decay present: fixed Gauss-Legendre panels up to the point where
-  the envelope underflows.  Panel length resolves the fastest oscillation.
+* Gaussian decay present: fixed Gauss-Legendre panels up to the envelope's
+  e^-92 point, their length resolving the fastest oscillation.  The d=2
+  grid path (`panel_nodes`) stops at e^-40 and doubles its PANEL_NODES
+  nodes per panel until n and 2n nodes agree within the tolerance.
 * Algebraic decay: split [0, inf) into half-period segments of the fastest
   oscillation, integrate each with Gauss-Legendre, and accelerate the
   partial sums.  Two accelerators are used:
@@ -48,7 +50,7 @@ import numpy as np
 from .errors import QuadratureError
 
 MAX_SEGMENTS = 1 << 17  # segment cap of `oscillatory_integral`
-PANEL_NODES = 16  # Gauss-Legendre nodes per `panel_nodes` panel
+PANEL_NODES = 8  # starting Gauss-Legendre nodes per `panel_nodes` panel (doubled until certified)
 DAMPING_ETA0 = 0.04  # largest damping rate of `damped_tail_integral`
 DAMPING_RUNGS = 7  # its damping rates: DAMPING_ETA0 / 2^j, j < DAMPING_RUNGS
 DAMPING_NODES = 24  # its Gauss-Legendre nodes per segment
@@ -296,13 +298,10 @@ def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
     return complex(coef[0]), float(abs(coef[0] - coef_drop[0]))
 
 
-def panel_nodes(k_max: float, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shared Gauss-Legendre node/weight set covering [0, k_max].
-
-    Panel length resolves oscillations of rate ``omega``; used by the
-    vectorised grid paths where one node set serves many spatial points.
-    """
+def panel_nodes(k_max: float, omega: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, k_max], ``nodes`` per panel, for
+    the d=2 grid path; the panel length resolves oscillations of rate ``omega``."""
     h = math.pi / max(omega, 1.0)
     n_panels = max(int(math.ceil(k_max / h)), 1)
-    pts, w, half = _segment_nodes(np.linspace(0.0, k_max, n_panels + 1), PANEL_NODES)
+    pts, w, half = _segment_nodes(np.linspace(0.0, k_max, n_panels + 1), nodes)
     return pts.ravel(), (w[None, :] * half[:, None]).ravel()

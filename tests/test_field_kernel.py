@@ -18,7 +18,8 @@ from qicsim.field_kernel import (
     spacelike_separated,
 )
 from qicsim.qic import Generator
-from qicsim.smearing import RadialSmearing
+from qicsim.scenarios import shockwave_scenario
+from qicsim.smearing import RadialSmearing, radial_ft
 
 SIGMA = 0.2
 
@@ -273,6 +274,32 @@ class TestSamplesAndEvaluators:
         assert np.array_equal(np.concatenate([I_a, I_b]), I_all)
         assert np.array_equal(np.concatenate([dI_a, dI_b]), dI_all)
 
+    def test_gaussian_d2_rule_is_bitwise_chunk_independent(self):
+        # every block height, one row included, gives each radius the same bits
+        radii = np.random.default_rng(47).uniform(0.0, 12.0, size=50)
+        for gen in shockwave_scenario(2):
+            ev = ModeProfileEvaluator(gen, 8.0, 2, float(radii.max()))
+            whole = np.stack(ev.evaluate(radii))
+            alone = np.stack([np.concatenate(ev.evaluate([r])) for r in radii], axis=1)
+            chunks = np.concatenate([np.stack(ev.evaluate(part))
+                                     for part in np.split(radii, (3, 31))], axis=1)
+            assert np.array_equal(whole, alone) and np.array_equal(whole, chunks)
+
+    @pytest.mark.parametrize("sigma", (1.0, 3.0, 10.0, 30.0))
+    def test_gaussian_d2_rule_is_certified(self, sigma):
+        # the node count comes from an n vs 2n comparison; the values must meet
+        # tol * sum|w f| against a 1e-14 quadrature.  sum|w f| of I and dI/dt
+        # is rho(0) / (4 pi) times int e^{-sigma^2 k^2 / 2} [k] dk
+        gen, tol = gen_gaussian(2, sigma=sigma), 1e-10
+        rho0 = radial_ft(gen.smearing, np.zeros(1))[0]
+        scale = rho0 / (4.0 * math.pi) * np.array([math.sqrt(math.pi / 2.0) / sigma, sigma**-2])
+        radii = np.linspace(0.0, 5.0, 26)
+        for t in (0.0, 0.5, 2.0):
+            got = np.stack(ModeProfileEvaluator(gen, t, 2, 5.0, tol=tol).evaluate(radii))
+            ref = np.array([[radial_integral(2, r, t, (gen.smearing,), der, tol=1e-14)[0]
+                             for r in radii] for der in (False, True)])
+            assert np.all(np.abs(got - ref).max(axis=1) <= tol * scale), t
+
     @pytest.mark.parametrize("gen, d", ((gen_gaussian(3), 3), (gen_gaussian(2), 2),
                                         (gen_shell(3, 0.5, 1.25), 3), (gen_shell(2, 0.5, 1.25), 2)),
                              ids=("closed-form-d3", "fixed-nodes-d2", "hard-shell-d3",
@@ -462,6 +489,18 @@ class TestShellFiniteParts:
         gen = gen_shell(3, 0.5, 1.25)
         with pytest.raises(ConfigurationError, match=rf"dI/dt at r={r}, t=2\.1, coupling_time=0\.0"):
             ModeProfileEvaluator(gen, 2.1, 3, r).evaluate([r])
+
+    @pytest.mark.parametrize("r", (1e-8, 1e-6))
+    def test_near_divergent_centre_is_prompt_typed_error(self, r):
+        # at t = r_outer = 1.25 the centre lies on a light-cone edge; close to it
+        # the terms cancel like 1/r and the quadrature would stall
+        gen = gen_shell(3, 0.5, 1.25)
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match=rf"I at r={r}, t=1\.25, coupling_time=0\.0"):
+            ModeProfileEvaluator(gen, 1.25, 3, r).evaluate([r])
+        assert time.perf_counter() - start < 0.2
+        I, dI = ModeProfileEvaluator(gen, 1.25, 3, 1e-4).evaluate([1e-4])
+        assert np.isfinite(I).all() and np.isfinite(dI).all()
 
 
 # --------------------------------------------------------------------------
