@@ -266,7 +266,8 @@ def mutual_information(q: float, p0, p1, base=2) -> float:
 
 def capacity(p0, p1, base=2, tol: float = 1e-10) -> tuple[float, float]:
     """Maximise I(A;B) over the prior; I is concave in q, so golden-section
-    search converges.  Returns (capacity, maximising prior)."""
+    search converges.  The search ends when the bracket is within ``tol`` or
+    stops shrinking (at rounding level).  Returns (capacity, maximising prior)."""
     a0 = np.asarray(p0.probs if isinstance(p0, OutcomeDistribution) else p0).ravel()
     a1 = np.asarray(p1.probs if isinstance(p1, OutcomeDistribution) else p1).ravel()
     if np.array_equal(a0, a1):
@@ -277,7 +278,9 @@ def capacity(p0, p1, base=2, tol: float = 1e-10) -> tuple[float, float]:
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    width = math.inf
+    while b - a < width and not b - a <= tol:  # a NaN tol searches to rounding level
+        width = b - a
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -106,6 +107,15 @@ def _setting(args, cfg: dict, key: str, default=None, kind=None):
     return val if kind is None or val is None else _number(val, f"config key {key!r}", kind)
 
 
+def _tolerance(args, cfg: dict, key: str) -> float:
+    """A tolerance setting (default 1e-10): finite and > 0, else no search or
+    integral it sets could end."""
+    val = _setting(args, cfg, key, 1e-10, float)
+    if not 0.0 < val < math.inf:
+        raise ConfigurationError(f"config key {key!r}: {val!r} is not a finite number > 0")
+    return val
+
+
 def _generator_from_spec(spec: dict, dimension: int, what: str) -> Generator:
     _reject_unknown(_typed(spec, dict, what), _GEN_KEYS, "generator")
     _require(spec, ("kind", "center", "t"), "generator definition")
@@ -185,8 +195,8 @@ def cmd_capacity(args) -> int:
     cfg = _load_config(args.config)
     dim, scenario, _ = _resolve_scenario(args, cfg, "channel")
     base = _setting(args, cfg, "log_base", "2")
-    tol = _setting(args, cfg, "tol", 1e-10, float)
-    search_tol = _setting(args, cfg, "search_tol", 1e-10, float)
+    tol = _tolerance(args, cfg, "tol")
+    search_tol = _tolerance(args, cfg, "search_tol")
     result = capacity_table(scenario, base=base, tol=tol, search_tol=search_tol)
 
     report = {
@@ -250,7 +260,7 @@ def cmd_evolve(args, forced_preset: str | None = None) -> int:
     else:
         raise ConfigurationError("no grid: pass --grid")
 
-    tol = _setting(args, cfg, "tol", 1e-10, float)
+    tol = _tolerance(args, cfg, "tol")
     threads = _setting(args, cfg, "threads", 1, int)
     eps = _setting(args, cfg, "degeneracy_eps", 1e-10, float)
     out_base = _setting(args, cfg, "out")

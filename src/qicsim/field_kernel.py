@@ -19,11 +19,11 @@ From S_ij alone follow both commutator functionals:
 In d=3 a hard shell's rho, and with it every integrand built from it, is a
 finite sum of terms c k^-p e^{i omega k}; d=3 hard-shell pairings and mode
 functions are the exact sum of those terms' finite parts, with a rounding
-bound as the error.  d=2, Gaussian pairings and the rare d=3 pair or radius
-whose bound is too loose go through the radial quadrature (`quadrature`).
-One function, `radial_integral`, makes that choice for every pairing and
-mode function; the two paths differ only in the scale the bound is held
-against.
+bound as the error.  Every integrand with a Gaussian factor goes through
+one certified node rule (`_certified_nodes`); d=2 hard shells and the rare
+d=3 pair or radius whose bound is too loose go through the oscillatory
+quadrature (`quadrature`).  One function, `radial_integral`, makes that
+choice for every pairing and mode function.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def _measure(d: int, k: np.ndarray) -> np.ndarray:
     return np.full_like(k, 1.0 / (4.0 * np.pi))
 
 
-def _kernel(d: int, dx: float, k: np.ndarray) -> np.ndarray:
-    if dx == 0.0:
+def _kernel(d: int, dx: float | np.ndarray, k: np.ndarray) -> np.ndarray:
+    if np.ndim(dx) == 0 and dx == 0.0:
         return np.ones_like(k)
     if d == 3:
         return np.sinc(k * (dx / np.pi))
@@ -84,7 +84,7 @@ def _kernel(d: int, dx: float, k: np.ndarray) -> np.ndarray:
 
 def _radial_integrand(d: int, dx: float, tau: float, profiles, derivative: bool = False):
     """The radial integrand w_d(k) kernel_d(k dx) prod rho(k) e^{i tau k}
-    [x i k] with its frequency groups, Gaussian decay and envelope power.
+    [x i k] with its frequency groups and envelope power.
 
     The power counts rho's decay, the measure's growth k^{d-2}, the kernel's
     decay k^{-(d-1)/2} (dx > 0) and one power lost to the i k factor.
@@ -104,8 +104,45 @@ def _radial_integrand(d: int, dx: float, tau: float, profiles, derivative: bool 
     if dx > 0.0:
         groups.append((dx,))
         power += (d - 1) / 2.0
-    decay = sum(ft_gauss_decay(s) for s in profiles)
-    return integrand, groups, decay, max(power, 1.0)
+    return integrand, groups, max(power, 1.0)
+
+
+def _kernel_sums(d: int, r: np.ndarray, k: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rows sum_k kernel_d(k r) weights at radii r, one complex column per
+    pair of real weight columns.  einsum's own loop, unlike BLAS, gives each
+    row the same bits whatever the block height."""
+    return np.einsum("ij,jk->ik", _kernel(d, r[:, None], k), weights).view(complex)
+
+
+def _certified_nodes(d: int, tau: float, profiles, radii: np.ndarray, tol: float, derivatives):
+    """The rule for integrands with a Gaussian factor: panels to the envelope's
+    e^-40 point resolving |tau| + max radius + each shell's largest radius,
+    PANEL_NODES per panel doubled until the integrals at ``radii`` (one column
+    per entry of ``derivatives``) agree with 2n nodes within tol * sum|w f|, f
+    the r = 0 integrand (>= |I| at every r: |kernel| <= 1).  Returns the n-node
+    (k, real weights), the 2n-node sums and |n - 2n| + 8 eps sum|w f| per column."""
+    k_max = math.sqrt(80.0 / sum(ft_gauss_decay(s) for s in profiles))
+    omega = abs(tau) + float(radii.max()) + sum(max(ft_frequencies(s), default=0.0)
+                                                for s in profiles)
+
+    def rule(n):
+        k, w = panel_nodes(k_max, omega, n)
+        f = [w * _radial_integrand(d, 0.0, tau, profiles, der)[0](k) for der in derivatives]
+        return k, np.stack(f, axis=1).view(float)
+
+    n, coarse, last = PANEL_NODES, rule(PANEL_NODES), math.inf
+    while True:
+        fine = rule(2 * n)
+        sums = _kernel_sums(d, radii, *fine)
+        diff = np.abs(_kernel_sums(d, radii, *coarse) - sums).max(axis=0)
+        scale = np.abs(coarse[1].view(complex)).sum(axis=0)
+        excess = float(np.max(diff - tol * scale))
+        if excess <= 0.0:
+            return coarse, sums, diff + _ROUNDING * scale
+        if not excess < last:  # down to rounding, or NaN: tol is out of reach
+            raise QuadratureError(f"Gaussian integral: {n} and {2 * n} nodes per panel "
+                                  f"differ by {diff.max():.2e} (tol={tol:.1e})")
+        n, coarse, last = 2 * n, fine, excess
 
 
 # --------------------------------------------------------------------------
@@ -183,13 +220,17 @@ def radial_integral(d: int, dx: float, tau: float, profiles, derivative: bool = 
                     tol: float = 1e-10, scale: float | None = None) -> tuple[complex, float]:
     """The radial integral of `_radial_integrand` with its error estimate.
 
-    Given a ``scale`` and only d=3 hard shells, the exact finite-part sum
-    serves wherever its rounding bound 8 eps sum|terms| is within
-    ``tol * scale``; a sum that diverges (a light-cone edge), or a failed
-    bound where the sum at dx = 0 diverges (terms cancel like 1/dx there),
-    raises `ConfigurationError`.  Everything else goes through the
-    oscillatory quadrature, whose estimate is returned.
+    A Gaussian factor selects `_certified_nodes` and its 2n-node sum.  Given
+    a ``scale`` and only d=3 hard shells, the exact finite-part sum serves
+    wherever its rounding bound 8 eps sum|terms| is within ``tol * scale``;
+    a sum that diverges (a light-cone edge), or a failed bound where the sum
+    at dx = 0 diverges (terms cancel like 1/dx there), raises
+    `ConfigurationError`.  Everything else goes through the oscillatory
+    quadrature, whose estimate is returned.
     """
+    if any(s.kind == GAUSSIAN for s in profiles):
+        _, sums, estimate = _certified_nodes(d, tau, profiles, np.array([dx]), tol, (derivative,))
+        return complex(sums[0, 0]), float(estimate[0])
     if scale is not None and _finite_part_applies(d, profiles):
         val, mag, divergent = _finite_part(_shell_terms(dx, tau, profiles, derivative))
         if divergent:
@@ -198,9 +239,8 @@ def radial_integral(d: int, dx: float, tau: float, profiles, derivative: bool = 
             return val, _ROUNDING * mag
         if _finite_part(_shell_terms(0.0, tau, profiles, derivative))[2]:
             raise ConfigurationError("too close to a centre on a light-cone edge, where it diverges")
-    integrand, groups, decay, power = _radial_integrand(d, dx, tau, profiles, derivative)
-    return oscillatory_integral(integrand, groups, phase_freq=tau, gauss_decay=decay,
-                                tol=tol, envelope_power=power)
+    integrand, groups, power = _radial_integrand(d, dx, tau, profiles, derivative)
+    return oscillatory_integral(integrand, groups, phase_freq=tau, tol=tol, envelope_power=power)
 
 
 def _pair_geometry(gen_i, gen_j):
@@ -335,24 +375,17 @@ def _gaussian_mode_closed(sigma: float, T, dx, amplitude: float = 1.0):
     return amplitude * I, amplitude * dI
 
 
-def _bessel_sums(r: np.ndarray, k: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Rows (I, dI/dt) at radii r: J0(r k) contracted with the real (K, 4)
-    weights.  einsum's own loop, unlike BLAS, gives each row the same bits
-    whatever the block height."""
-    return np.einsum("ij,jk->ik", j0(np.outer(r, k)), weights).view(complex)
-
-
 class ModeProfileEvaluator:
     """Evaluates I(t, .) and dI/dt(t, .) for one generator on many radii.
 
     This is the one mode-function path: Gaussian profiles use the closed
     form (d=3) or one node set (d=2), hard shells the exact finite-part
     sum (d=3) or the radial quadrature (d=2); a single radius r is
-    ``evaluate([r])``.  The d=2 node set is fixed at construction: panels up
-    to the envelope's e^-40 point for the largest radius that will be
-    requested, with a node count certified by doubling (`_certified_nodes`).
-    Results are independent of how callers chunk the radii -- grid
-    evaluations stay bit-identical under any threading.
+    ``evaluate([r])``.  The d=2 node set is the n-node set of the Gaussian
+    pairings' rule (`_certified_nodes`), certified at construction at r = 0
+    and the largest radius that will be requested.  Results are independent
+    of how callers chunk the radii -- grid evaluations stay bit-identical
+    under any threading.
 
     Hard shells go through `radial_integral` radius by radius.  In d=3 its
     scale is the sum of |terms| at r = 0 for the same generator, time and
@@ -374,32 +407,10 @@ class ModeProfileEvaluator:
         if _finite_part_applies(d, (s,)):
             self._shell_scale = tuple(_finite_part(_shell_terms(0.0, tau, (s,), der))[1]
                                       for der in (False, True))
-        self._nodes = (self._certified_nodes(math.sqrt(80.0 / ft_gauss_decay(s)), dx_max)
-                       if s.kind == GAUSSIAN and d == 2 else None)
-
-    def _certified_nodes(self, k_max: float, dx_max: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes k on [0, k_max] and the real (K, 4) weights [Re, Im of w f, Re, Im
-        of w f ik], f the r = 0 integrand, for the first count n per panel
-        (PANEL_NODES, doubled) at which I and dI/dt at r = 0 and ``dx_max`` agree
-        with 2n nodes within tol * sum|w f|, a scale >= |I| at every r (|J0| <= 1)."""
-        def rule(n):
-            k, w = panel_nodes(k_max, abs(self._tau) + dx_max, n)
-            f = [w * _radial_integrand(2, 0.0, self._tau, (self.gen.smearing,), der)[0](k)
-                 for der in (False, True)]
-            return k, np.stack(f, axis=1).view(float)
-
         radii = np.array([0.0, dx_max])
-        n, coarse, last = PANEL_NODES, rule(PANEL_NODES), np.inf
-        while True:
-            fine = rule(2 * n)
-            diff = np.abs(_bessel_sums(radii, *coarse) - _bessel_sums(radii, *fine)).max(axis=0)
-            excess = float(np.max(diff - self.tol * np.abs(coarse[1].view(complex)).sum(axis=0)))
-            if excess <= 0.0:
-                return coarse
-            if excess >= last:  # down to rounding: tol is out of reach
-                raise QuadratureError(f"d=2 Gaussian grid at t={self.t}: {n} and {2 * n} nodes "
-                                      f"per panel differ by {diff.max():.2e} (tol={self.tol:.1e})")
-            n, coarse, last = 2 * n, fine, excess
+        with naming(f"mode function at t={self.t}, coupling_time={gen.coupling_time}"):
+            self._nodes = (_certified_nodes(2, tau, (s,), radii, tol, (False, True))[0]
+                           if s.kind == GAUSSIAN and d == 2 else None)
 
     def evaluate(self, dx) -> tuple[np.ndarray, np.ndarray]:
         """I and dI/dt at the radii ``dx`` (any shape), evaluated once per
@@ -419,7 +430,7 @@ class ModeProfileEvaluator:
             chunk = max(1, int(4e6 // len(k)))
             sums = np.empty((len(u), 2), dtype=complex)
             for i0 in range(0, len(u), chunk):
-                sums[i0 : i0 + chunk] = _bessel_sums(u[i0 : i0 + chunk], k, weights)
+                sums[i0 : i0 + chunk] = _kernel_sums(2, u[i0 : i0 + chunk], k, weights)
             return sums[:, 0], sums[:, 1]
         I = np.empty(u.shape, dtype=complex)
         dI = np.empty(u.shape, dtype=complex)

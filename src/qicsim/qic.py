@@ -26,6 +26,10 @@ from .errors import ConfigurationError, NumericConsistencyError
 from .field_kernel import ModeProfileEvaluator, PairingMatrix, pairing_matrix
 from .smearing import RadialSmearing
 
+# grid points x generators that `weighting_grid` accepts; each costs <= 0.25 kB at
+# peak (measured at 0.5 M points), so ~1 GB at the budget
+MAX_GRID_VALUES = 1 << 22
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -238,10 +242,16 @@ class GridAxis:
                 f"{self.start}:{self.stop}:{self.step}")
         if not (self.step > 0.0 and self.stop >= self.start):
             raise ConfigurationError("grid axis needs stop >= start and step > 0")
+        if not math.isfinite((self.stop - self.start) / self.step):
+            raise ConfigurationError(f"grid axis {self.start}:{self.stop}:{self.step} "
+                                     f"has too many points to count")
+
+    def __len__(self) -> int:
+        """Number of points, counted without allocating them."""
+        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
 
     def values(self) -> np.ndarray:
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return self.start + self.step * np.arange(n)
+        return self.start + self.step * np.arange(len(self))
 
 
 @dataclass(frozen=True)
@@ -263,7 +273,7 @@ class GridSpec:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(a.values()) for a in self.axes if isinstance(a, GridAxis))
+        return tuple(len(a) for a in self.axes if isinstance(a, GridAxis))
 
     def points(self) -> np.ndarray:
         """All grid points, shape (N, d), varying axes in row-major order."""
@@ -329,6 +339,10 @@ def weighting_grid(
             raise ConfigurationError(f"mode index {mode_index} out of range")
         selected = [mode_index]
 
+    n_points = math.prod(spec.shape)
+    if n_points * len(modes.generators) > MAX_GRID_VALUES:
+        raise ConfigurationError(f"grid of {n_points} points x {len(modes.generators)} generators "
+                                 f"exceeds the budget of {MAX_GRID_VALUES} values")
     pts = spec.points()
     if len(pts) == 0:
         raise ConfigurationError("grid is empty")

@@ -13,10 +13,8 @@ module only as a fallback: `field_kernel` sums their integrals exactly.
 
 Strategy
 --------
-* Gaussian decay present: fixed Gauss-Legendre panels up to the envelope's
-  e^-92 point, their length resolving the fastest oscillation.  The d=2
-  grid path (`panel_nodes`) stops at e^-40 and doubles its PANEL_NODES
-  nodes per panel until n and 2n nodes agree within the tolerance.
+* Gaussian decay present: `panel_nodes` gives the Gauss-Legendre panels, up
+  to the envelope's e^-40 point, of `field_kernel`'s node-doubling rule.
 * Algebraic decay: split [0, inf) into half-period segments of the fastest
   oscillation, integrate each with Gauss-Legendre, and accelerate the
   partial sums.  Two accelerators are used:
@@ -49,7 +47,7 @@ import numpy as np
 
 from .errors import QuadratureError
 
-MAX_SEGMENTS = 1 << 17  # segment cap of `oscillatory_integral`
+MAX_SEGMENTS = 1 << 17  # segment cap of `oscillatory_integral` and `panel_nodes`
 PANEL_NODES = 8  # starting Gauss-Legendre nodes per `panel_nodes` panel (doubled until certified)
 DAMPING_ETA0 = 0.04  # largest damping rate of `damped_tail_integral`
 DAMPING_RUNGS = 7  # its damping rates: DAMPING_ETA0 / 2^j, j < DAMPING_RUNGS
@@ -155,11 +153,10 @@ def oscillatory_integral(
     integrand,
     freq_groups,
     phase_freq: float = 0.0,
-    gauss_decay: float = 0.0,
     tol: float = 1e-10,
     envelope_power: float = 3.0,
 ) -> tuple[complex, float]:
-    """Integrate ``integrand`` over [0, inf) to the requested tolerance.
+    """Integrate ``integrand`` (algebraic decay) over [0, inf) to the requested tolerance.
 
     Parameters
     ----------
@@ -169,8 +166,6 @@ def oscillatory_integral(
         Oscillation frequencies per factor (see `combination_frequencies`).
     phase_freq : float
         Signed frequency tau of the explicit e^{i tau k} phase.
-    gauss_decay : float
-        g such that the envelope carries exp(-g k^2 / 2); 0 for shells.
     tol : float
         Requested error, relative to the integral's natural magnitude.
     envelope_power : float
@@ -182,21 +177,8 @@ def oscillatory_integral(
     (value, error_estimate)
     """
     omega = abs(phase_freq) + sum(max(g) for g in freq_groups if len(g))
-    if gauss_decay > 0.0:
-        h = min(math.pi / max(omega, 0.5), 1.0 / math.sqrt(gauss_decay))
-        k_cut = math.sqrt(184.0 / gauss_decay)
-        n = max(int(math.ceil(k_cut / h)), 4)
-        if n > MAX_SEGMENTS:
-            raise QuadratureError(f"Gaussian integral: {n} segments > max_segments={MAX_SEGMENTS}")
-        edges = h * np.arange(n + 1)
-        seg = segment_integrals(integrand, edges)
-        total = seg.sum()
-        scale = max(np.abs(seg).sum(), abs(total))
-        err = abs(seg[-1]) + 1e-15 * scale
-        return complex(total), float(err)
-
     if omega <= 0.0:
-        raise QuadratureError("integrand has neither oscillation nor decay")
+        raise QuadratureError("integrand does not oscillate")
 
     h = math.pi / omega
     combos = combination_frequencies(freq_groups, phase_freq)
@@ -300,8 +282,11 @@ def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
 
 def panel_nodes(k_max: float, omega: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, k_max], ``nodes`` per panel, for
-    the d=2 grid path; the panel length resolves oscillations of rate ``omega``."""
+    Gaussian envelopes; the panel length resolves oscillations of rate ``omega``.
+    More than MAX_SEGMENTS panels raise `QuadratureError` before any allocation."""
     h = math.pi / max(omega, 1.0)
     n_panels = max(int(math.ceil(k_max / h)), 1)
+    if n_panels > MAX_SEGMENTS:
+        raise QuadratureError(f"Gaussian integral: {n_panels} segments > max_segments={MAX_SEGMENTS}")
     pts, w, half = _segment_nodes(np.linspace(0.0, k_max, n_panels + 1), nodes)
     return pts.ravel(), (w[None, :] * half[:, None]).ravel()

@@ -278,6 +278,14 @@ class TestCapacity:
         for dq in (-0.01, 0.01):
             assert mutual_information(min(max(q + dq, 0), 1), p0, p1, 2) <= c + 1e-14
 
+    @pytest.mark.parametrize("tol", (0.0, -1.0, 1e-16, math.nan))
+    def test_search_ends_where_the_bracket_stops_shrinking(self, tol):
+        # below rounding level (or NaN) the search runs until the bracket stops shrinking
+        p0, p1 = np.array([0.3, 0.7]), np.array([0.6, 0.4])
+        c, q = capacity(p0, p1, 2, tol=tol)
+        c_ref, q_ref = capacity(p0, p1, 2, tol=1e-12)
+        assert c == pytest.approx(c_ref, rel=1e-14) and q == pytest.approx(q_ref, abs=1e-6)
+
 
 class TestCapacityTable:
     def test_silent_sender_gives_zero_everywhere(self, table1_3):

@@ -40,6 +40,16 @@ class TestCapacityCommand:
             else:
                 assert abs(got - ref) <= 5e-3 * ref
 
+    def test_search_tol_below_rounding_level_finishes(self, tmp_path):
+        # the prior search ends where its bracket stops shrinking
+        out = tmp_path / "cap.json"
+        assert main(["capacity", "--dim", "3", "--preset", "table1", "--search-tol", "1e-16",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["search_tol"] == 1e-16
+        for label, ref in zip(SUBSETS, TABLE1_D3):
+            assert abs(report["capacities"][label]["capacity"] - ref) <= max(5e-3 * ref, 1e-8)
+
     def test_log_base_disambiguation(self, tmp_path):
         ref_b2 = 0.00872886
         matches = []
@@ -247,10 +257,21 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
     (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "coupling": True}]}}, "'coupling'"),
     (["capacity", "--preset", "table1"], '{"dimension": Infinity}', "'dimension'"),
     (_SINGLE, '{"threads": Infinity}', "'threads'"),
+    (["capacity", "--preset", "table1", "--search-tol", "0"], None, "'search_tol'"),
+    (["capacity", "--preset", "table1", "--search-tol", "-1"], None, "'search_tol'"),
+    (["capacity", "--preset", "table1", "--search-tol", "nan"], None, "'search_tol'"),
+    (["capacity", "--preset", "table1", "--tol", "0"], None, "'tol'"),
+    (["capacity", "--preset", "table1"], {"tol": -1}, "'tol'"),
+    (["capacity", "--preset", "table1", "--tol", "nan"], None, "'tol'"),
+    (["evolve", "--dim", "2", "--preset", "single", "--t", "2", "--tol", "nan"], None, "'tol'"),
+    (["evolve", "--dim", "2", "--preset", "single", "--t", "2", "--grid", "x=0:1e9:1,y=0"],
+     None, "1000000001 points"),
 ], ids=["grid-value", "grid-inf", "config-json", "no-alice", "no-r-outer", "sigma-text",
         "center-number", "alice-number", "bobs-number", "generators-number",
         "generator-number", "grid-number", "out-number", "dimension-fraction",
-        "threads-fraction", "t-boolean", "coupling-boolean", "dimension-inf", "threads-inf"])
+        "threads-fraction", "t-boolean", "coupling-boolean", "dimension-inf", "threads-inf",
+        "search-tol-zero", "search-tol-negative", "search-tol-nan", "tol-zero", "tol-negative",
+        "tol-nan", "evolve-tol-nan", "grid-too-large"])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, argv, config, named):
     argv = argv + ["--out", str(tmp_path / "out")]
     if config is not None:

@@ -10,6 +10,8 @@ from qicsim.errors import ConfigurationError, QuadratureError
 from qicsim.field_kernel import (
     ModeProfileEvaluator,
     _gaussian_mode_closed,
+    _pair_geometry,
+    _radial_integrand,
     pairing,
     pairing_damped,
     pairing_detail,
@@ -18,8 +20,9 @@ from qicsim.field_kernel import (
     spacelike_separated,
 )
 from qicsim.qic import Generator
+from qicsim.quadrature import MAX_SEGMENTS, segment_integrals
 from qicsim.scenarios import shockwave_scenario
-from qicsim.smearing import RadialSmearing, radial_ft
+from qicsim.smearing import RadialSmearing, ft_gauss_decay, radial_ft
 
 SIGMA = 0.2
 
@@ -42,14 +45,36 @@ def mode_values(gen, t, x, d):
 
 
 def quadrature_mode(gen, t, r, d, derivative=False):
-    """I(t, r) or dI/dt by the oscillatory quadrature: `radial_integral` with no scale."""
+    """I(t, r) or dI/dt by `radial_integral` with no scale: the certified rule
+    for a Gaussian, the oscillatory quadrature for a hard shell."""
     return radial_integral(d, float(r), t - gen.coupling_time, (gen.smearing,), derivative)[0]
 
 
-def random_generator(rng, d):
+def gaussian_reference(d, dx, tau, profiles, derivative=False):
+    """An independent reference for integrands with a Gaussian factor, sharing
+    only the integrand with production: 24 Gauss-Legendre nodes per segment up
+    to the envelope's e^-92 point, segments no longer than 1/sqrt(g) or half
+    the fastest period, and the last segment's magnitude as the estimate."""
+    integrand, freq_groups, _ = _radial_integrand(d, dx, tau, profiles, derivative)
+    phase_freq, gauss_decay = tau, sum(ft_gauss_decay(s) for s in profiles)
+    omega = abs(phase_freq) + sum(max(g) for g in freq_groups if len(g))
+    h = min(math.pi / max(omega, 0.5), 1.0 / math.sqrt(gauss_decay))
+    k_cut = math.sqrt(184.0 / gauss_decay)
+    n = max(int(math.ceil(k_cut / h)), 4)
+    if n > MAX_SEGMENTS:
+        raise QuadratureError(f"Gaussian integral: {n} segments > max_segments={MAX_SEGMENTS}")
+    edges = h * np.arange(n + 1)
+    seg = segment_integrals(integrand, edges)
+    total = seg.sum()
+    scale = max(np.abs(seg).sum(), abs(total))
+    err = abs(seg[-1]) + 1e-15 * scale
+    return complex(total), float(err)
+
+
+def random_generator(rng, d, kind=None):
     center = tuple(rng.uniform(-3, 3, size=d))
     t = float(rng.uniform(-2, 2))
-    if rng.random() < 0.5:
+    if kind == "gaussian" or (kind is None and rng.random() < 0.5):
         return gen_gaussian(d, center, t, sigma=float(rng.uniform(0.15, 0.6)))
     r = float(rng.uniform(0.0, 1.5))
     return gen_shell(d, r, r + float(rng.uniform(0.3, 2.0)), center, t)
@@ -94,6 +119,25 @@ def test_hermiticity_50_random_pairs():
             a = pairing(gi, gj, d)
             b = pairing(gj, gi, d)
             assert abs(a - np.conjugate(b)) <= 1e-9 * (1.0 + abs(a))
+
+
+def test_gaussian_pairings_match_fixed_panel_reference():
+    # seeded Gaussian-Gaussian, Gaussian-shell and shell-Gaussian pairs: the
+    # certified rule agrees with the reference within both estimates, and its
+    # estimate is within tol sqrt(S_ii S_jj)
+    rng = np.random.default_rng(67)
+    tol = 1e-10
+    for d in (2, 3):
+        for kinds in (("gaussian", "gaussian"), ("gaussian", "hard_shell"),
+                      ("hard_shell", "gaussian")):
+            for _ in range(25):
+                gi, gj = (random_generator(rng, d, kind) for kind in kinds)
+                val, err = pairing_detail(gi, gj, d, tol)
+                ref, ref_err = gaussian_reference(d, *_pair_geometry(gi, gj),
+                                                  (gi.smearing, gj.smearing))
+                scale = math.sqrt(pairing(gi, gi, d).real * pairing(gj, gj, d).real)
+                assert abs(val - ref) <= err + ref_err, (d, kinds, val, ref)
+                assert err <= tol * scale, (d, kinds, err, scale)
 
 
 class TestMicrocausality:
@@ -296,7 +340,7 @@ class TestSamplesAndEvaluators:
         radii = np.linspace(0.0, 5.0, 26)
         for t in (0.0, 0.5, 2.0):
             got = np.stack(ModeProfileEvaluator(gen, t, 2, 5.0, tol=tol).evaluate(radii))
-            ref = np.array([[radial_integral(2, r, t, (gen.smearing,), der, tol=1e-14)[0]
+            ref = np.array([[gaussian_reference(2, r, t, (gen.smearing,), der)[0]
                              for r in radii] for der in (False, True)])
             assert np.all(np.abs(got - ref).max(axis=1) <= tol * scale), t
 
@@ -362,8 +406,11 @@ def test_self_pairing_transforms_its_profile_once(monkeypatch):
 def test_far_gaussian_pair_fails_fast():
     t0 = time.perf_counter()
     message = r"Gaussian integral: \d+ segments > max_segments=131072"
-    with pytest.raises(QuadratureError, match=message):
-        pairing(gen_gaussian(3), gen_gaussian(3, center=(1e6, 0.0, 0.0)), 3)
+    for gi, gj, d in ((gen_gaussian(3), gen_gaussian(3, center=(1e6, 0.0, 0.0)), 3),
+                      (gen_gaussian(2), gen_gaussian(2, center=(1e6, 0.0)), 2),
+                      (gen_gaussian(3), gen_shell(3, 0.5, 1.25, center=(1e6, 0.0, 0.0)), 3)):
+        with pytest.raises(QuadratureError, match=message):
+            pairing(gi, gj, d)
     assert time.perf_counter() - t0 < 1.0
     # the matrix names the pair, and keeps the stalled value and estimate
     far = [gen_gaussian(3), gen_gaussian(3, center=(1e6, 0.0, 0.0))]
@@ -372,6 +419,17 @@ def test_far_gaussian_pair_fails_fast():
     assert isinstance(info.value.__cause__, QuadratureError)
     assert (info.value.value, info.value.estimate) == (
         info.value.__cause__.value, info.value.__cause__.estimate)
+
+
+def test_gaussian_rule_stops_on_nan_comparisons():
+    # a NaN tol makes every n vs 2n comparison NaN; node doubling must stop
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureError, match=r"mode function at t=2\.0, coupling_time=0\.0: "
+                                               r"Gaussian integral: 8 and 16 nodes per panel"):
+        ModeProfileEvaluator(gen_gaussian(2), 2.0, 2, 1.0, tol=math.nan)
+    with pytest.raises(QuadratureError, match=r"pairing \(0, 0\): Gaussian integral"):
+        pairing_matrix([gen_gaussian(3), gen_gaussian(3, center=(1.0, 0.0, 0.0))], 3, tol=math.nan)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_hard_shell_stall_names_radius_and_time():

@@ -7,6 +7,7 @@ import pytest
 from qicsim.errors import ConfigurationError, NumericConsistencyError
 from qicsim.field_kernel import PairingMatrix, pairing, pairing_matrix
 from qicsim.qic import (
+    MAX_GRID_VALUES,
     Generator,
     GridAxis,
     GridSpec,
@@ -200,6 +201,7 @@ class TestGridSpec:
     def test_points_shape(self):
         spec = GridSpec(axes=(GridAxis(0, 1, 0.5), GridAxis(0, 1, 1.0), 0.0))
         assert spec.shape == (3, 2)
+        assert GridSpec(axes=(GridAxis(0.0, 1e9, 1.0), 0.0)).shape == (10**9 + 1,)  # counted, not built
         pts = spec.points()
         assert pts.shape == (6, 3)
         assert np.all(pts[:, 2] == 0.0)
@@ -213,6 +215,8 @@ class TestGridSpec:
             GridAxis(5.0, 4.0, 0.1)
         with pytest.raises(ConfigurationError):
             GridAxis(0.0, 1.0, -0.1)
+        with pytest.raises(ConfigurationError, match="too many points"):
+            GridAxis(-1e308, 1e308, 1.0)
 
 
 class TestWeightingGrid:
@@ -372,3 +376,6 @@ class TestWeightingGrid:
             weighting_grid(modes, 0, math.inf, spec)
         with pytest.raises(ConfigurationError):
             weighting_grid(modes, 0, 8.0, spec, threads=0)
+        # one point past the budget of points x generators (three here)
+        with pytest.raises(ConfigurationError, match="1398102 points x 3 generators exceeds"):
+            weighting_grid(modes, 0, 8.0, line_spec(3, 0.0, MAX_GRID_VALUES // 3, 1.0))
