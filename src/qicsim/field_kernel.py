@@ -20,14 +20,18 @@ In d=3 a hard shell's rho, and with it every integrand built from it, is a
 finite sum of terms c k^-p e^{i omega k}; d=3 hard-shell pairings and mode
 functions are the exact sum of those terms' finite parts, with a rounding
 bound as the error.  Every integrand with a Gaussian factor goes through
-one certified node rule (`_certified_nodes`); d=2 hard shells and the rare
+one certified node rule (`_certified_nodes`).  d=2 hard shells and the rare
 d=3 pair or radius whose bound is too loose go through the oscillatory
-quadrature (`quadrature`).  One function, `radial_integral`, makes that
-choice for every pairing and mode function.
+quadrature (`quadrature.oscillatory_integral`): Gauss-Legendre up to
+k_split, and beyond it the exact integrals of the integrand's terms
+(`_tail_terms`: the d=3 terms, or in d=2 the Hankel expansions of J1 and
+J0, A&S 9.2.5).  One function, `radial_integral`, makes that choice for
+every pairing and mode function.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import groupby
@@ -36,11 +40,17 @@ import numpy as np
 from scipy.special import dawsn, j0
 
 from .errors import ConfigurationError, QuadratureError, naming
-from .quadrature import PANEL_NODES, damped_tail_integral, oscillatory_integral, panel_nodes
+from .quadrature import (
+    MAX_SEGMENTS,
+    PANEL_NODES,
+    damped_tail_integral,
+    oscillatory_integral,
+    panel_nodes,
+    power_tail,
+)
 from .smearing import (
     GAUSSIAN,
     HARD_SHELL,
-    ft_decay_power,
     ft_frequencies,
     ft_gauss_decay,
     radial_ft,
@@ -83,12 +93,7 @@ def _kernel(d: int, dx: float | np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _radial_integrand(d: int, dx: float, tau: float, profiles, derivative: bool = False):
-    """The radial integrand w_d(k) kernel_d(k dx) prod rho(k) e^{i tau k}
-    [x i k] with its frequency groups and envelope power.
-
-    The power counts rho's decay, the measure's growth k^{d-2}, the kernel's
-    decay k^{-(d-1)/2} (dx > 0) and one power lost to the i k factor.
-    """
+    """The radial integrand w_d(k) kernel_d(k dx) prod rho(k) e^{i tau k} [x i k]."""
     def integrand(k):
         out = _measure(d, k) * _kernel(d, dx, k)
         for s, run in groupby(profiles):  # a self-pairing transforms its profile once
@@ -99,12 +104,7 @@ def _radial_integrand(d: int, dx: float, tau: float, profiles, derivative: bool 
         out = out * np.exp(1j * tau * k)
         return out * (1j * k) if derivative else out
 
-    groups = [ft_frequencies(s) for s in profiles]
-    power = sum(ft_decay_power(s) for s in profiles) + (2.0 - d) - float(derivative)
-    if dx > 0.0:
-        groups.append((dx,))
-        power += (d - 1) / 2.0
-    return integrand, groups, max(power, 1.0)
+    return integrand
 
 
 def _kernel_sums(d: int, r: np.ndarray, k: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -127,7 +127,7 @@ def _certified_nodes(d: int, tau: float, profiles, radii: np.ndarray, tol: float
 
     def rule(n):
         k, w = panel_nodes(k_max, omega, n)
-        f = [w * _radial_integrand(d, 0.0, tau, profiles, der)[0](k) for der in derivatives]
+        f = [w * _radial_integrand(d, 0.0, tau, profiles, der)(k) for der in derivatives]
         return k, np.stack(f, axis=1).view(float)
 
     n, coarse, last = PANEL_NODES, rule(PANEL_NODES), math.inf
@@ -216,37 +216,168 @@ def _finite_part_applies(d: int, profiles) -> bool:
     return d == 3 and all(s.kind == HARD_SHELL for s in profiles)
 
 
+# --------------------------------------------------------------------------
+# hard-shell tails: the integrand beyond k_split as terms c k^-p e^{i omega k}
+# --------------------------------------------------------------------------
+
+HANKEL_ORDERS = 8  # d=2 products keep Hankel orders below this; the next order is the bound
+HANKEL_Z0 = 30.0  # a Bessel factor J(k a) takes its Hankel expansion where a k_split >= HANKEL_Z0
+SMALL_RADIUS = 1e-3  # shell radii below SMALL_RADIUS x the largest leave k_split to the others
+ANGULAR_NODES = 40  # nodes of an angular average, checked against twice as many
+CENTRE_PANELS = 4096  # most body panels spent on expanding the kernel at HANKEL_Z0 / dx
+
+
+def _times(terms, factor):
+    """Product of two term sums (c, p, omega, order), orders above HANKEL_ORDERS dropped."""
+    order = terms[3][:, None] + factor[3][None, :]
+    keep = order <= HANKEL_ORDERS
+    return ((terms[0][:, None] * factor[0][None, :])[keep],
+            (terms[1][:, None] + factor[1][None, :])[keep],
+            (terms[2][:, None] + factor[2][None, :])[keep], order[keep])
+
+
+@functools.cache
+def _hankel_coefficients(nu: float, orders: int):
+    """e, m and a_m(nu) (i e)^m e^{-i e (2 nu + 1) pi / 4} of `_bessel`, m <= orders."""
+    m = np.arange(orders + 1)
+    a_m = np.cumprod([1.0] + [(4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j) for j in m[1:]])
+    e, m = np.repeat([1.0, -1.0], len(m)), np.tile(m, 2)
+    return e, m, np.tile(a_m, 2) * (1j * e) ** m * np.exp(-0.25j * math.pi * e * (2.0 * nu + 1.0))
+
+
+def _bessel(nu: float, a: float, coef: complex, k_split: float, nodes: int):
+    """coef J_nu(k a) for k >= k_split as terms (c, p, omega, order).
+
+    For a k_split >= HANKEL_Z0 the Hankel expansion (Abramowitz & Stegun 9.2.5):
+    per order m and e = +-1, coef sqrt(1/(2 pi a)) a_m(nu) (i e / a)^m
+    e^{-i e (2 nu + 1) pi / 4} k^{-1/2-m} e^{i e a k}, a_m(nu) = prod_{j<=m}
+    (4 nu^2 - (2j - 1)^2) / (8 j).  Otherwise the angular average J_nu(k a) =
+    1/pi int_0^pi cos(nu th - k a sin th) dth on ``nodes`` Gauss-Legendre nodes
+    th_j, weights w_j: coef w_j / 4 e^{i e nu th_j} e^{-i e a sin(th_j) k}.
+    """
+    if a * k_split >= HANKEL_Z0:
+        e, m, c = _hankel_coefficients(nu, HANKEL_ORDERS)
+        return coef * math.sqrt(0.5 / (math.pi * a)) * c / a**m, 0.5 + m, e * a, m
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    th, w = np.tile(0.5 * math.pi * (x + 1.0), 2), np.tile(w, 2)
+    e = np.repeat([1.0, -1.0], nodes)
+    return (0.25 * coef * w * np.exp(1j * e * nu * th), np.zeros(2 * nodes), -e * a * np.sin(th),
+            np.zeros(2 * nodes, int))
+
+
+def _expansion(d: int, dx: float, tau: float, profiles, derivative: bool, k_split: float,
+               nodes: int):
+    """The hard-shell integrand for k >= k_split as terms (c, p, omega, order).
+
+    d=3: the exact `_shell_terms`, with sin(k dx)/(k dx) = 1/2 int_{-1}^1
+    e^{i k dx u} du on ``nodes`` Gauss-Legendre nodes where dx k_split <
+    HANKEL_Z0.  d=2: the measure, phase and [i k] times each rho = 2 pi a
+    J1(k a) / k of the shell's discs and J0(k dx), all by `_bessel`."""
+    if d == 3:
+        average = 0.0 < dx * k_split < HANKEL_Z0
+        c, p, omega = (np.array(x) for x in zip(*_shell_terms(0.0 if average else dx, tau, profiles,
+                                                               derivative)))
+        terms = c, p.real, omega.real, np.zeros(len(c), int)
+        if average:
+            x, w = np.polynomial.legendre.leggauss(nodes)
+            terms = _times(terms, (0.5 * w + 0j, np.zeros(nodes), dx * x, np.zeros(nodes, int)))
+        return terms
+    terms = (np.array([1j / (4.0 * math.pi) if derivative else 1.0 / (4.0 * math.pi)]),
+             np.array([-1.0 if derivative else 0.0]), np.array([tau]), np.zeros(1, int))
+    for s in profiles:
+        discs = [_bessel(1.0, a, 2.0 * math.pi * a * sign * s.amplitude, k_split, nodes)
+                 for a, sign in ((s.r_outer, 1.0), (s.r_inner, -1.0)) if a > 0.0]
+        c, p, omega, order = (np.concatenate(x) for x in zip(*discs))
+        terms = _times(terms, (c, p + 1.0, omega, order))
+    return _times(terms, _bessel(0.0, dx, 1.0, k_split, nodes)) if dx > 0.0 else terms
+
+
+def _split(terms, k_split: float):
+    """(c, p, omega) of the kept orders and the tail bound sum |c| K^{1-p} / (p - 1)
+    of the first omitted one."""
+    last = terms[3] == HANKEL_ORDERS
+    c, p = terms[0][last], terms[1][last]
+    bound = float(np.sum(np.abs(c) * k_split ** (1.0 - p) / (p - 1.0)))
+    return tuple(x[~last] for x in terms[:3]), bound
+
+
+def _tail_terms(d: int, dx: float, tau: float, profiles, derivative: bool = False):
+    """The hard-shell integrand of `_radial_integrand` beyond k_split as terms
+    (c, p, omega) of c k^-p e^{i omega k}, a bound on what they leave out
+    there, and k_split (`oscillatory_integral`'s arguments).
+
+    k_split = HANKEL_Z0 / (smallest shell radius that is at least SMALL_RADIUS
+    times the largest), so every other radius takes the Hankel expansion in
+    `_expansion`, and so does the kernel where dx k_split >= HANKEL_Z0.  A
+    smaller radius or dx enters as its angular average, which shifts each
+    frequency by at most that radius; the difference between ANGULAR_NODES
+    and twice as many adds to the bound.  Where a frequency of the terms at
+    dx = 0 lies within 2 dx of zero (a centre on or near a light-cone edge)
+    the kernel's average would sweep it through zero, so the kernel is
+    expanded at k_split = HANKEL_Z0 / dx instead; a radius that needs more
+    than CENTRE_PANELS body panels for that raises `ConfigurationError`.
+    """
+    def split_at(a):  # rounded up, so that a k_split >= HANKEL_Z0
+        return HANKEL_Z0 / a * (1.0 + 1e-15)
+
+    radii = [a for s in profiles for a in (s.r_inner, s.r_outer) if a > 0.0]
+    k_split = split_at(min(a for a in radii if a >= SMALL_RADIUS * max(radii)))
+    omega = abs(tau) + dx + sum(s.r_outer for s in profiles)  # the fastest frequency
+    if not k_split * omega <= math.pi * MAX_SEGMENTS:
+        raise QuadratureError(f"radial integral: {k_split * omega / math.pi:.3g} segments "
+                              f"> max_segments={MAX_SEGMENTS}")
+    if 0.0 < dx * k_split < HANKEL_Z0:
+        centre = _expansion(d, 0.0, tau, profiles, derivative, k_split, ANGULAR_NODES)
+        if np.abs(centre[2]).min() < 2.0 * dx:
+            k_split = split_at(dx)
+            if k_split * omega > math.pi * CENTRE_PANELS:
+                raise ConfigurationError("too close to a centre on or near a light-cone edge")
+    terms, omitted = _split(_expansion(d, dx, tau, profiles, derivative, k_split,
+                                       2 * ANGULAR_NODES), k_split)
+    if 0.0 < dx * k_split < HANKEL_Z0 or (d == 2 and min(radii) * k_split < HANKEL_Z0):
+        coarse, _ = _split(_expansion(d, dx, tau, profiles, derivative, k_split, ANGULAR_NODES),
+                           k_split)
+        omitted += abs(power_tail(coarse, k_split)[0] - power_tail(terms, k_split)[0])
+    return terms, omitted, k_split
+
+
 def radial_integral(d: int, dx: float, tau: float, profiles, derivative: bool = False,
                     tol: float = 1e-10, scale: float | None = None) -> tuple[complex, float]:
     """The radial integral of `_radial_integrand` with its error estimate.
 
     A Gaussian factor selects `_certified_nodes` and its 2n-node sum.  Given
     a ``scale`` and only d=3 hard shells, the exact finite-part sum serves
-    wherever its rounding bound 8 eps sum|terms| is within ``tol * scale``;
-    a sum that diverges (a light-cone edge), or a failed bound where the sum
-    at dx = 0 diverges (terms cancel like 1/dx there), raises
-    `ConfigurationError`.  Everything else goes through the oscillatory
-    quadrature, whose estimate is returned.
+    wherever its rounding bound 8 eps sum|terms| is within ``tol * scale``,
+    and a sum that diverges (a light-cone edge) raises `ConfigurationError`.
+    Everything else goes through the oscillatory quadrature with the exact
+    tail of `_tail_terms`; its estimate, the omitted Hankel order + |n - 2n|
+    + 8 eps sum|terms|, is returned.  There a surviving omega = 0 term with
+    p <= 1 (a light-cone edge) raises `ConfigurationError`, and so does a
+    radius too close to a centre on such an edge, where the d=3 terms
+    cancel like 1/dx.
     """
     if any(s.kind == GAUSSIAN for s in profiles):
         _, sums, estimate = _certified_nodes(d, tau, profiles, np.array([dx]), tol, (derivative,))
         return complex(sums[0, 0]), float(estimate[0])
     if scale is not None and _finite_part_applies(d, profiles):
-        val, mag, divergent = _finite_part(_shell_terms(dx, tau, profiles, derivative))
-        if divergent:
+        val, mag, diverges = _finite_part(_shell_terms(dx, tau, profiles, derivative))
+        if diverges:
             raise ConfigurationError("diverges on a light-cone edge")
         if _ROUNDING * mag <= tol * scale:
             return val, _ROUNDING * mag
-        if _finite_part(_shell_terms(0.0, tau, profiles, derivative))[2]:
-            raise ConfigurationError("too close to a centre on a light-cone edge, where it diverges")
-    integrand, groups, power = _radial_integrand(d, dx, tau, profiles, derivative)
-    return oscillatory_integral(integrand, groups, phase_freq=tau, tol=tol, envelope_power=power)
+    terms, omitted, k_split = _tail_terms(d, dx, tau, profiles, derivative)
+    return oscillatory_integral(_radial_integrand(d, dx, tau, profiles, derivative), terms, k_split,
+                                tol, omitted)
 
 
 def _pair_geometry(gen_i, gen_j):
     ci = np.asarray(gen_i.smearing.center)
     cj = np.asarray(gen_j.smearing.center)
-    dx = float(np.linalg.norm(ci - cj))
+    with np.errstate(over="ignore"):
+        dx = float(np.linalg.norm(ci - cj))
+    if not math.isfinite(dx):
+        raise ConfigurationError(f"the distance between centres {gen_i.smearing.center} and "
+                                 f"{gen_j.smearing.center} overflows")
     tau = gen_j.coupling_time - gen_i.coupling_time  # e^{-ik(t_i - t_j)}
     return dx, tau
 
@@ -280,7 +411,7 @@ def pairing_damped(gen_i, gen_j, d: int) -> tuple[complex, float]:
     if GAUSSIAN in (si.kind, sj.kind):
         # absolutely convergent already; a single plain evaluation suffices
         return radial_integral(d, dx, tau, (si, sj), tol=1e-12)
-    integrand = _radial_integrand(d, dx, tau, (si, sj))[0]
+    integrand = _radial_integrand(d, dx, tau, (si, sj))
     omega = abs(tau) + dx + sum(ft_frequencies(si)) + sum(ft_frequencies(sj))
     return damped_tail_integral(integrand, omega)
 
@@ -380,7 +511,7 @@ class ModeProfileEvaluator:
 
     This is the one mode-function path: Gaussian profiles use the closed
     form (d=3) or one node set (d=2), hard shells the exact finite-part
-    sum (d=3) or the radial quadrature (d=2); a single radius r is
+    sum (d=3) or the body-plus-exact-tail quadrature (d=2); a single radius r is
     ``evaluate([r])``.  The d=2 node set is the n-node set of the Gaussian
     pairings' rule (`_certified_nodes`), certified at construction at r = 0
     and the largest radius that will be requested.  Results are independent
@@ -392,7 +523,8 @@ class ModeProfileEvaluator:
     quantity (a scale that does not vanish where the value does), so the
     quadrature serves only where the terms cancel (r -> 0, like 1/r).  A
     radius on a light-cone edge where I or dI/dt diverges raises
-    `ConfigurationError`.
+    `ConfigurationError`, in either dimension, and so does a radius too
+    close to a centre on such an edge (`_tail_terms`).
     """
 
     def __init__(self, gen, t: float, d: int, dx_max: float, tol: float = 1e-10):

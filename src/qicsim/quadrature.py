@@ -15,27 +15,23 @@ Strategy
 --------
 * Gaussian decay present: `panel_nodes` gives the Gauss-Legendre panels, up
   to the envelope's e^-40 point, of `field_kernel`'s node-doubling rule.
-* Algebraic decay: split [0, inf) into half-period segments of the fastest
-  oscillation, integrate each with Gauss-Legendre, and accelerate the
-  partial sums.  Two accelerators are used:
-    - Wynn's epsilon algorithm, which is exact for superpositions of
-      geometric sequences and therefore excels on purely oscillatory tails;
-    - a least-squares tail model with the *known* combination frequencies
-      (every integrand here is a finite product of factors whose frequency
-      content we know exactly), which handles the monotone component that
-      appears whenever a combination frequency vanishes, e.g. for the
-      self-pairing of a shell.
-  The combination spectrum decides which accelerator is trusted; their
-  window-to-window disagreement is the reported error estimate.
+* Algebraic decay: `oscillatory_integral` splits [0, inf) at a point K.  The
+  body [0, K] is Gauss-Legendre on half-period panels of the fastest
+  oscillation, with the node count doubled until n and 2n agree.  Beyond K
+  the integrand is a finite sum of terms c k^-p e^{i omega k} (exact for d=3
+  shells, Hankel expansions and angular averages for d=2, supplied by
+  `field_kernel`), and `power_tail` integrates each term exactly through the
+  generalized exponential integral `expint` (DLMF 8.19).  A surviving
+  omega = 0 term with p <= 1 is a divergence, flagged at once.
 * `damped_tail_integral` is an intentionally independent cross-check: it
   multiplies the integrand by e^{-eta k}, integrates the now absolutely
   convergent integral for a ladder of eta values, and extrapolates eta -> 0
   with a log-aware model (the eta^2 ln eta term is real; a pure polynomial
   extrapolation stalls on it).  One integrand pass serves all eta rungs.
-  It shares no acceleration code with the primary path and is used by the
-  test suite as the second quadrature scheme.
+  It shares no tail code with the primary path and is used by the test
+  suite as the second quadrature scheme.
 
-All routines return ``(value, error_estimate)`` so callers can propagate
+The integrators return ``(value, error_estimate)`` so callers can propagate
 achieved accuracy instead of assuming it.
 """
 
@@ -44,14 +40,19 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import digamma, gamma
 
-from .errors import QuadratureError
+from .errors import ConfigurationError, QuadratureError
 
-MAX_SEGMENTS = 1 << 17  # segment cap of `oscillatory_integral` and `panel_nodes`
-PANEL_NODES = 8  # starting Gauss-Legendre nodes per `panel_nodes` panel (doubled until certified)
+MAX_SEGMENTS = 1 << 17  # panel cap of `oscillatory_integral` and `panel_nodes`
+PANEL_NODES = 8  # starting Gauss-Legendre nodes per panel (doubled until certified)
 DAMPING_ETA0 = 0.04  # largest damping rate of `damped_tail_integral`
 DAMPING_RUNGS = 7  # its damping rates: DAMPING_ETA0 / 2^j, j < DAMPING_RUNGS
 DAMPING_NODES = 24  # its Gauss-Legendre nodes per segment
+EXPINT_CUT = 2.0  # `expint` takes the continued fraction at |z| >= EXPINT_CUT, the series below
+EXPINT_STEPS = 1000  # its continued-fraction step cap
+EXPINT_SERIES = 32  # its series terms: 2^32 / 32! < 1e-25
+_EPS = np.finfo(float).eps
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -76,6 +77,7 @@ def segment_integrals(f, edges: np.ndarray, nodes: int = 24) -> np.ndarray:
     return (vals * w[None, :]).sum(axis=1) * half
 
 
+# no longer called by the package; perfbench/spans.py still looks the name up
 def wynn_epsilon(partial_sums: np.ndarray) -> np.ndarray:
     """Diagonal (even-column) estimates of Wynn's epsilon table.
 
@@ -110,23 +112,7 @@ def wynn_epsilon(partial_sums: np.ndarray) -> np.ndarray:
     return np.array(diag)
 
 
-def combination_frequencies(freq_groups, phase_freq: float) -> np.ndarray:
-    """Distinct |frequency| values of the integrand's trig decomposition.
-
-    Each factor of the integrand contributes one frequency out of its group
-    with either sign; the overall phase e^{i tau k} contributes ``phase_freq``
-    with fixed sign.  The returned set governs both the segment length and
-    the tail-model basis.
-    """
-    combos = {float(phase_freq)}
-    for group in freq_groups:
-        group = [g for g in group if g > 0.0]
-        if not group:
-            continue
-        combos = {c + s * g for c in combos for g in group for s in (1.0, -1.0)}
-    return np.unique(np.round(np.abs(np.fromiter(combos, float)), 12))
-
-
+# no longer called by the package; perfbench/spans.py still looks the name up
 def _tail_model_intercept(k_samples, s_samples, osc_freqs, powers) -> complex:
     """LS fit of S(K) = I - tail(K); returns the intercept I.
 
@@ -149,93 +135,114 @@ def _tail_model_intercept(k_samples, s_samples, osc_freqs, powers) -> complex:
     return coef[0] / norms[0]
 
 
-def oscillatory_integral(
-    integrand,
-    freq_groups,
-    phase_freq: float = 0.0,
-    tol: float = 1e-10,
-    envelope_power: float = 3.0,
-) -> tuple[complex, float]:
-    """Integrate ``integrand`` (algebraic decay) over [0, inf) to the requested tolerance.
+def expint(p, z) -> np.ndarray:
+    """Generalized exponential integral E_p(z) = int_1^inf e^{-z t} t^-p dt
+    (DLMF 8.19), continued analytically to |arg z| < pi, for arrays of real
+    p (integer or half-integer) and complex z != 0.
 
-    Parameters
-    ----------
-    integrand : callable
-        Vectorised k -> complex values; smooth on (0, inf), finite at 0.
-    freq_groups : sequence of sequences
-        Oscillation frequencies per factor (see `combination_frequencies`).
-    phase_freq : float
-        Signed frequency tau of the explicit e^{i tau k} phase.
-    tol : float
-        Requested error, relative to the integral's natural magnitude.
-    envelope_power : float
-        Asymptotic algebraic decay exponent of the envelope; sets the
-        powers used in the tail model.
-
-    Returns
-    -------
-    (value, error_estimate)
+    |z| >= EXPINT_CUT: the continued fraction e^{-z} / (z + p - 1 p / (z + p + 2
+    - 2 (p + 1) / (z + p + 4 - ...))) by the modified Lentz method.  Below: the
+    power series -sum_m (-z)^m / (m! (m + 1 - p)) plus Gamma(1 - p) z^{p-1}, or,
+    for integer p = n >= 1, the pole's (-z)^{n-1} / (n-1)! [psi(n) - ln z] in
+    place of its m = n - 1 term.
     """
-    omega = abs(phase_freq) + sum(max(g) for g in freq_groups if len(g))
-    if omega <= 0.0:
-        raise QuadratureError("integrand does not oscillate")
+    p, z = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(z, dtype=complex))
+    out = np.empty(z.shape, dtype=complex)
+    far = np.abs(z) >= EXPINT_CUT
+    idx = np.flatnonzero(far)
+    pf, zf = p[far], z[far]
+    b = zf + pf
+    c = np.full(zf.shape, 1.0 / np.finfo(float).tiny, dtype=complex)
+    d = 1.0 / b
+    h = d
+    for i in range(1, EXPINT_STEPS + 1):
+        a = -i * (pf + (i - 1.0))
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        step = c * d
+        h = h * step
+        done = np.abs(step - 1.0) <= _EPS
+        if done.any():  # converged entries leave the iteration
+            out.flat[idx[done]] = h[done] * np.exp(-zf[done])
+            idx, pf, zf, b, c, d, h = (x[~done] for x in (idx, pf, zf, b, c, d, h))
+        if not len(idx):
+            break
+    else:
+        raise QuadratureError(f"E_p continued fraction: no convergence in {EXPINT_STEPS} steps")
+    pn, zn = p[~far], z[~far]
+    pole = (pn >= 1.0) & (pn == np.round(pn))  # the series' m = p - 1 term is a log instead
+    total = np.zeros(zn.shape, dtype=complex)
+    term = np.ones(zn.shape, dtype=complex)
+    for m in range(EXPINT_SERIES):
+        den = m + 1.0 - pn
+        total -= term / np.where(den == 0.0, np.inf, den)
+        term = term * (-zn) / (m + 1)
+    log_z = np.log(zn)
+    n = np.where(pole, pn, 1.0)
+    a = np.where(pole, 0.5, 1.0 - pn)  # Gamma(a) z^{-a}, a = 1 - p off the poles
+    out[~far] = total + np.where(pole, (-zn) ** (n - 1.0) / gamma(n) * (digamma(n) - log_z),
+                                 gamma(a) * np.exp(-a * log_z))
+    return out
 
-    h = math.pi / omega
-    combos = combination_frequencies(freq_groups, phase_freq)
-    powers = (envelope_power - 1.0, envelope_power, envelope_power + 1.0)
 
-    n = 1024
-    seg = segment_integrals(integrand, h * np.arange(n + 1))
-    val_prev = None
+def _merged(c, p, omega):
+    """Terms merged on exactly equal (p, omega); zero coefficients dropped."""
+    order = np.lexsort((omega, p))
+    c, p, omega = c[order], p[order], omega[order]
+    first = np.r_[True, (p[1:] != p[:-1]) | (omega[1:] != omega[:-1])]
+    group = np.cumsum(first) - 1
+    c = np.bincount(group, c.real) + 1j * np.bincount(group, c.imag)
+    keep = c != 0.0
+    return c[keep], p[first][keep], omega[first][keep]
+
+
+def power_tail(terms, k_split: float) -> tuple[complex, float]:
+    """sum c int_K^inf k^-p e^{i omega k} dk over ``terms`` = (c, p, omega)
+    arrays, K = ``k_split``: c K^{1-p} E_p(-i omega K), or c K^{1-p} / (p - 1)
+    for omega = 0.  Returns (value, sum of |term|).  A surviving omega = 0 term
+    with p <= 1 does not decay and raises `ConfigurationError`."""
+    c, p, omega = _merged(*terms)
+    still = omega == 0.0
+    if np.any(still & (p <= 1.0)):
+        raise ConfigurationError("diverges on a light-cone edge")
+    vals = c * k_split ** (1.0 - p)
+    vals[still] /= p[still] - 1.0
+    vals[~still] *= expint(p[~still], -1j * k_split * omega[~still])
+    return complex(vals.sum()), float(np.abs(vals).sum())
+
+
+def oscillatory_integral(integrand, terms, k_split: float, tol: float = 1e-10,
+                         omitted: float = 0.0) -> tuple[complex, float]:
+    """int_0^inf of ``integrand`` (algebraic decay) as a body on [0, k_split]
+    plus the exact tail of its expansion ``terms`` (see `power_tail`).
+
+    The body is Gauss-Legendre on panels of pi / max|omega|, PANEL_NODES per
+    panel doubled until n and 2n nodes agree.  The estimate, ``omitted`` (the
+    caller's bound on what ``terms`` leave out beyond k_split) + |n - 2n| +
+    8 eps (sum|panel| + sum|tail term|), must be within tol * sum|panel|;
+    otherwise `QuadratureError`.  Returns the 2n-node value and the estimate.
+    """
+    n_panels = k_split * float(np.abs(terms[2]).max()) / math.pi
+    if not n_panels <= MAX_SEGMENTS:
+        raise QuadratureError(f"radial integral: {n_panels:.3g} segments "
+                              f"> max_segments={MAX_SEGMENTS}")
+    n_panels = max(math.ceil(n_panels), 1)
+    tail, tail_mag = power_tail(terms, k_split)
+    edges = np.linspace(0.0, k_split, n_panels + 1)
+    n, coarse, last = PANEL_NODES, segment_integrals(integrand, edges, PANEL_NODES).sum(), math.inf
     while True:
-        S = np.cumsum(seg)
-        k_edges = h * np.arange(1, n + 1)
-        scale = max(np.abs(S).max(), 1e-300)
-        window = n // 2
-        resolvable = 8.0 * math.pi / (window * h)
-        dc_like = combos[combos < resolvable]
-        osc = combos[combos >= resolvable]
-
-        if len(dc_like):
-            # monotone tail component present: trust the frequency-aware
-            # tail model, estimate error from a closer-in window
-            val = _tail_model_intercept(k_edges[n - window :], S[n - window :], osc, powers)
-            val_b = _tail_model_intercept(
-                k_edges[n - window : n - window // 2],
-                S[n - window : n - window // 2],
-                osc,
-                powers,
-            )
-            err = abs(val - val_b) + 1e-15 * scale
-        else:
-            # contiguous windows only: decimated windows alias fast
-            # components onto the constant term and spoil the estimates
-            ests = [
-                wynn_epsilon(S[n - 80 : n])[-1],
-                wynn_epsilon(S[n - 48 : n])[-1],
-                wynn_epsilon(S[n - 117 : n - 37])[-1],
-            ]
-            val = ests[0]
-            spread = max(abs(e - val) for e in ests[1:])
-            # correlated windows can agree while wrong: before any block
-            # doubling has confirmed the value, pad the spread
-            if val_prev is None:
-                err = 4.0 * spread + 1e-15 * scale
-            else:
-                err = max(spread, abs(val - val_prev)) + 1e-15 * scale
+        fine = segment_integrals(integrand, edges, 2 * n)
+        body, scale = fine.sum(), float(np.abs(fine).sum())
+        diff = abs(body - coarse)
+        err = omitted + diff + _EPS * 8.0 * (scale + tail_mag)
         if err <= tol * scale:
-            return complex(val), float(err)
-        if 2 * n > MAX_SEGMENTS:
-            raise QuadratureError(
-                f"radial integral stalled at {n} segments "
-                f"(err~{err:.2e}, scale~{scale:.2e}, tol={tol:.1e})",
-                value=complex(val),
-                estimate=float(err),
-            )
-        ext = segment_integrals(integrand, h * np.arange(n, 2 * n + 1))
-        seg = np.concatenate([seg, ext])
-        n *= 2
-        val_prev = val
+            return complex(body + tail), float(err)
+        if diff <= 0.5 * tol * scale or not diff < last:  # more nodes cannot help
+            raise QuadratureError(f"radial integral: estimate {err:.2e} > tol * scale = "
+                                  f"{tol * scale:.2e} at {2 * n} nodes per panel",
+                                  value=complex(body + tail), estimate=float(err))
+        n, coarse, last = 2 * n, body, diff
 
 
 def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:

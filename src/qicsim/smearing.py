@@ -157,13 +157,6 @@ def ft_gauss_decay(s: RadialSmearing) -> float:
     return s.sigma**2 if s.kind == GAUSSIAN else 0.0
 
 
-def ft_decay_power(s: RadialSmearing) -> float:
-    """Asymptotic algebraic decay exponent of rho(k)."""
-    if s.kind == GAUSSIAN:
-        return 0.0
-    return 2.0 if s.dimension == 3 else 1.5
-
-
 def support_radius(s: RadialSmearing) -> float:
     """Radius of the profile's support about its center (inf for Gaussian)."""
     return math.inf if s.kind == GAUSSIAN else s.r_outer

@@ -159,15 +159,28 @@ class TestEvolveCommand:
         assert code == 2
         assert "threads" in capsys.readouterr().err
 
-    def test_quadrature_stall_names_radius(self, tmp_path, capsys):
+    def test_near_edge_shell_grid_evaluates(self, tmp_path):
         # the grid points at r = sqrt(2.5) sit 0.019 inside a hard-shell light-cone edge
         cfg = tmp_path / "shell.json"
         cfg.write_text(json.dumps({"dimension": 2, "scenario": {"generators": [
             {"kind": "hard_shell", "r_inner": 0.5, "r_outer": 1.25, "center": [0, 0], "t": 0}]}}))
         code = main(["evolve", "--config", str(cfg), "--t", "2.1",
                      "--grid", "x=-3:3:0.5,y=-1:1:0.5", "--out", str(tmp_path / "x.csv")])
+        assert code == 0
+        data = read_grid_csv(tmp_path / "x.csv")[1]
+        assert data.shape == (65, 6) and np.isfinite(data).all()
+
+    def test_light_cone_centre_error_names_radius(self, tmp_path, capsys):
+        # at t = r_outer the shell's centre lies on a light-cone edge, where dI/dt diverges
+        cfg = tmp_path / "shell.json"
+        cfg.write_text(json.dumps({"dimension": 2, "scenario": {"generators": [
+            {"kind": "hard_shell", "r_inner": 0.5, "r_outer": 1.25, "center": [0, 0], "t": 0}]}}))
+        code = main(["evolve", "--config", str(cfg), "--t", "1.25",
+                     "--grid", "x=-1:1:0.5,y=0", "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "dI/dt at r=1.58113883" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "dI/dt at r=0.0, t=1.25, coupling_time=0.0: diverges on a light-cone edge" in err
 
     @pytest.mark.parametrize("sigma", (1.0, 0.3))
     def test_csv_bytes_match_per_value_format(self, tmp_path, sigma):
@@ -266,12 +279,15 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
     (["evolve", "--dim", "2", "--preset", "single", "--t", "2", "--tol", "nan"], None, "'tol'"),
     (["evolve", "--dim", "2", "--preset", "single", "--t", "2", "--grid", "x=0:1e9:1,y=0"],
      None, "1000000001 points"),
+    (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "sigma": 0.2, "center": [1e308, 0, 0]},
+                                           {**_GAUSS, "sigma": 0.2, "center": [-1e308, 0, 0]}]}},
+     "pairing (0, 1): the distance between centres"),
 ], ids=["grid-value", "grid-inf", "config-json", "no-alice", "no-r-outer", "sigma-text",
         "center-number", "alice-number", "bobs-number", "generators-number",
         "generator-number", "grid-number", "out-number", "dimension-fraction",
         "threads-fraction", "t-boolean", "coupling-boolean", "dimension-inf", "threads-inf",
         "search-tol-zero", "search-tol-negative", "search-tol-nan", "tol-zero", "tol-negative",
-        "tol-nan", "evolve-tol-nan", "grid-too-large"])
+        "tol-nan", "evolve-tol-nan", "grid-too-large", "centres-overflow"])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, argv, config, named):
     argv = argv + ["--out", str(tmp_path / "out")]
     if config is not None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import hyp2f1
 
 from qicsim.errors import ConfigurationError, QuadratureError
 from qicsim.field_kernel import (
@@ -22,7 +23,7 @@ from qicsim.field_kernel import (
 from qicsim.qic import Generator
 from qicsim.quadrature import MAX_SEGMENTS, segment_integrals
 from qicsim.scenarios import shockwave_scenario
-from qicsim.smearing import RadialSmearing, ft_gauss_decay, radial_ft
+from qicsim.smearing import RadialSmearing, ft_frequencies, ft_gauss_decay, radial_ft
 
 SIGMA = 0.2
 
@@ -55,9 +56,9 @@ def gaussian_reference(d, dx, tau, profiles, derivative=False):
     only the integrand with production: 24 Gauss-Legendre nodes per segment up
     to the envelope's e^-92 point, segments no longer than 1/sqrt(g) or half
     the fastest period, and the last segment's magnitude as the estimate."""
-    integrand, freq_groups, _ = _radial_integrand(d, dx, tau, profiles, derivative)
-    phase_freq, gauss_decay = tau, sum(ft_gauss_decay(s) for s in profiles)
-    omega = abs(phase_freq) + sum(max(g) for g in freq_groups if len(g))
+    integrand = _radial_integrand(d, dx, tau, profiles, derivative)
+    gauss_decay = sum(ft_gauss_decay(s) for s in profiles)
+    omega = abs(tau) + dx + sum(max(ft_frequencies(s), default=0.0) for s in profiles)
     h = min(math.pi / max(omega, 0.5), 1.0 / math.sqrt(gauss_decay))
     k_cut = math.sqrt(184.0 / gauss_decay)
     n = max(int(math.ceil(k_cut / h)), 4)
@@ -432,18 +433,95 @@ def test_gaussian_rule_stops_on_nan_comparisons():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_hard_shell_stall_names_radius_and_time():
-    # r = sqrt(2.5) lies 0.019 inside the light-cone edge t - r_inner = 1.6,
-    # where the dI/dt integral stalls at the segment cap
+def higher_order_integral(monkeypatch, *args):
+    """`radial_integral` with four more Hankel orders and twice the split point."""
+    import qicsim.field_kernel as fk
+
+    with monkeypatch.context() as m:
+        m.setattr(fk, "HANKEL_ORDERS", fk.HANKEL_ORDERS + 4)
+        m.setattr(fk, "HANKEL_Z0", 2.0 * fk.HANKEL_Z0)
+        return radial_integral(*args)
+
+
+def test_near_edge_hard_shell_mode_function_evaluates(monkeypatch):
+    # r = sqrt(2.5) lies 0.019 inside the light-cone edge t - r_inner = 1.6, where
+    # the dI/dt integrand's slowest frequency is 0.019
+    gen, r = gen_shell(2, 0.5, 1.25), math.sqrt(2.5)
+    I, dI = ModeProfileEvaluator(gen, 2.1, 2, r).evaluate([r])
+    for value, derivative in ((I[0], False), (dI[0], True)):
+        val, err = radial_integral(2, r, 2.1, (gen.smearing,), derivative)
+        ref, ref_err = higher_order_integral(monkeypatch, 2, r, 2.1, (gen.smearing,), derivative)
+        assert value == val and abs(val - ref) <= err + ref_err, derivative
+
+
+@pytest.mark.parametrize("t", (2.1, 3.0))
+def test_d2_shell_mode_functions_near_the_centre(monkeypatch, t):
+    # the angular-average kernel (r k_split < HANKEL_Z0) and the expanded one agree
+    # with a higher-order evaluation within both estimates
     gen = gen_shell(2, 0.5, 1.25)
-    with pytest.raises(QuadratureError, match=r"dI/dt at r=1\.58113883\d*, t=2\.1, "
-                                               r"coupling_time=0\.0: radial integral stalled"
-                       ) as info:
-        ModeProfileEvaluator(gen, 2.1, 2, 2.0).evaluate([math.sqrt(2.5)])
-    cause = info.value.__cause__
-    assert isinstance(cause, QuadratureError)
-    assert (info.value.value, info.value.estimate) == (cause.value, cause.estimate)
-    assert info.value.estimate > 0.0
+    for r in (0.0, 1e-8, 1e-4, 0.05, 0.6):
+        for derivative in (False, True):
+            val, err = radial_integral(2, r, t, (gen.smearing,), derivative)
+            ref, ref_err = higher_order_integral(monkeypatch, 2, r, t, (gen.smearing,), derivative)
+            assert abs(val - ref) <= err + ref_err, (r, derivative)
+            assert err <= 1e-10 * abs(val)
+
+
+@pytest.mark.parametrize("r, quantity", ((0.0, "dI/dt"), (1e-6, "I"), (1e-3, "I")))
+def test_light_cone_centre_error_names_radius_and_time(r, quantity):
+    # at t = r_outer = 1.25 the centre lies on a light-cone edge, where dI/dt diverges
+    gen = gen_shell(2, 0.5, 1.25)
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{quantity} at r={r}, t=1\.25, coupling_time=0\.0: "):
+        ModeProfileEvaluator(gen, 1.25, 2, r).evaluate([r])
+    assert time.perf_counter() - start < 0.2
+
+
+def test_light_cone_centre_neighbourhood_evaluates(monkeypatch):
+    # from r = 0.01 on, the kernel is expanded at a larger split point
+    gen = gen_shell(2, 0.5, 1.25)
+    I, dI = ModeProfileEvaluator(gen, 1.25, 2, 0.3).evaluate([0.01, 0.05, 0.3])
+    assert np.isfinite(I).all() and np.isfinite(dI).all()
+    val, err = radial_integral(2, 0.05, 1.25, (gen.smearing,), True)
+    ref, ref_err = higher_order_integral(monkeypatch, 2, 0.05, 1.25, (gen.smearing,), True)
+    assert val == dI[1] and abs(val - ref) <= err + ref_err
+
+
+def concentric_d2_pairing(a, b):
+    """S_ij of two concentric d=2 shells (r_inner, r_outer) coupled at one time:
+    pi sum +- r r' W(r, r') over their discs, with the Weber-Schafheitlin integral
+    W(r, r') = int_0^inf J1(r k) J1(r' k) k^-2 dk = (m / 2) 2F1(1/2, -1/2; 2; m^2 / M^2),
+    m, M = min, max(r, r').  Returns the value and the sum of |parts|."""
+    parts = []
+    for r, s in ((a[1], 1.0), (a[0], -1.0)):
+        for q, sq in ((b[1], 1.0), (b[0], -1.0)):
+            if r > 0.0 and q > 0.0:
+                lo, hi = min(r, q), max(r, q)
+                parts.append(math.pi * s * sq * r * q * 0.5 * lo * hyp2f1(0.5, -0.5, 2.0, (lo / hi) ** 2))
+    return math.fsum(parts), sum(map(abs, parts))
+
+
+def test_concentric_d2_pairings_match_closed_form():
+    # the last three are receivers of the capacity workload
+    shells = [(0.0, 1.0), (0.5, 1.25), (1.565244334014157, 3.1599706199170368),
+              (3.359970619917037, 3.998897814866815), (4.421447621373284, 5.5197406078438025)]
+    for i, a in enumerate(shells):
+        for b in shells[i:]:
+            val, err = pairing_detail(gen_shell(2, *a, t=0.7), gen_shell(2, *b, t=0.7), 2)
+            exact, mag = concentric_d2_pairing(a, b)
+            assert abs(val - exact) <= err + 8 * np.finfo(float).eps * mag, (a, b, val, exact)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_overflowing_distance_is_typed_error(d):
+    far = (1e308,) + (0.0,) * (d - 1)
+    near = (-1e308,) + (0.0,) * (d - 1)
+    for other in (gen_gaussian(d, near), gen_shell(d, 0.5, 1.25, near)):
+        with pytest.raises(ConfigurationError, match="distance between centres .* overflows"):
+            pairing(gen_gaussian(d, far), other, d)
+    with pytest.raises(ConfigurationError, match=r"^pairing \(0, 1\): the distance"):
+        pairing_matrix([gen_gaussian(d, far), gen_gaussian(d, near)], d)
 
 
 # --------------------------------------------------------------------------
@@ -509,6 +587,15 @@ class TestShellFiniteParts:
         val, err = pairing_detail(ball, far, 3)
         assert calls == [1]
         assert math.isfinite(val.real) and err <= 1e-10 * abs(val)
+
+    def test_far_pair_estimate_bounds_its_error(self):
+        # the terms cancel like dx^4 at dx = 50, so the fallback serves this pair; the
+        # reference is the pair's finite-part sum, taken once at 60 digits with mpmath
+        ball = gen_shell(3, 0.0, 1.0)
+        far = gen_shell(3, 1.1, 2.9, (50.0, 0.0, 0.0))
+        exact = 0.0041024278320904417721575327010462825390867288014282
+        val, err = pairing_detail(ball, far, 3)
+        assert abs(val - exact) <= err <= 1e-10 * exact
 
     def test_divergent_parts_cancel(self, table1_3):
         # the integrand is regular at k = 0, so every k^-q coefficient of the
@@ -602,3 +689,20 @@ def test_mode_functions_are_finite_or_typed_error(d, kind, data):
     except (QuadratureError, ConfigurationError):
         return
     assert np.isfinite(I).all() and np.isfinite(dI).all()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_d2_hard_shell_mode_functions_are_finite_with_estimate_or_typed_error(data):
+    gen = data.draw(compact_generators(2, "hard_shell"))
+    t = data.draw(st.floats(-3.0, 3.0))
+    radii = data.draw(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=8))
+    try:
+        I, dI = ModeProfileEvaluator(gen, t, 2, max(radii)).evaluate(radii)
+        results = [radial_integral(2, r, t - gen.coupling_time, (gen.smearing,), der)
+                   for r in radii for der in (False, True)]
+    except (QuadratureError, ConfigurationError):
+        return
+    assert np.isfinite(I).all() and np.isfinite(dI).all()
+    assert [v for v, _ in results] == [x for pair in zip(I, dI) for x in pair]
+    assert all(math.isfinite(err) and err >= 0.0 for _, err in results)
