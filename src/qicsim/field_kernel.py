@@ -16,17 +16,17 @@ the integrand by i k.
 From S_ij alone follow both commutator functionals:
 (1/i)<[O_i, O_j]> = 2 Im S_ij and (1/i)<[O_i, f(O_j)]> = 2 Re S_ij.
 
-In d=3 a hard shell's rho, and with it every integrand built from it, is a
-finite sum of terms c k^-p e^{i omega k}; d=3 hard-shell pairings and mode
-functions are the exact sum of those terms' finite parts, with a rounding
-bound as the error.  Every integrand with a Gaussian factor goes through
-one certified node rule (`_certified_nodes`).  d=2 hard shells and the rare
-d=3 pair or radius whose bound is too loose go through the oscillatory
-quadrature (`quadrature.oscillatory_integral`): Gauss-Legendre up to
-k_split, and beyond it the exact integrals of the integrand's terms
-(`_tail_terms`: the d=3 terms, or in d=2 the Hankel expansions of J1 and
-J0, A&S 9.2.5).  One function, `radial_integral`, makes that choice for
-every pairing and mode function.
+A hard shell's integrand beyond any k_split is a finite sum of terms
+c k^-p e^{i omega k}, built by `_expansion` in both dimensions: exact in
+d=3, Hankel expansions of J1 and J0 (A&S 9.2.5) or angular averages in
+d=2.  d=3 hard-shell pairings and mode functions are the exact sum of the
+terms' finite parts (k_split = inf), with a rounding bound as the error.
+Everything else runs on one node-doubling rule (`quadrature.certified_rule`):
+integrands with a Gaussian factor through `_certified_nodes`, d=2 hard
+shells (and the rare d=3 pair or radius whose bound is too loose) as a
+body on [0, k_split] plus the exact tail of the terms
+(`quadrature.oscillatory_integral`).  One function, `radial_integral`,
+makes that choice for every pairing and mode function.
 """
 
 from __future__ import annotations
@@ -39,13 +39,14 @@ from itertools import groupby
 import numpy as np
 from scipy.special import dawsn, j0
 
-from .errors import ConfigurationError, QuadratureError, naming
+from .errors import ConfigurationError, naming
 from .quadrature import (
-    MAX_SEGMENTS,
-    PANEL_NODES,
+    ROUNDING,
+    _gauss_legendre,
+    _merged,
+    certified_rule,
     damped_tail_integral,
     oscillatory_integral,
-    panel_nodes,
     power_tail,
 )
 from .smearing import (
@@ -115,34 +116,23 @@ def _kernel_sums(d: int, r: np.ndarray, k: np.ndarray, weights: np.ndarray) -> n
 
 
 def _certified_nodes(d: int, tau: float, profiles, radii: np.ndarray, tol: float, derivatives):
-    """The rule for integrands with a Gaussian factor: panels to the envelope's
-    e^-40 point resolving |tau| + max radius + each shell's largest radius,
-    PANEL_NODES per panel doubled until the integrals at ``radii`` (one column
-    per entry of ``derivatives``) agree with 2n nodes within tol * sum|w f|, f
-    the r = 0 integrand (>= |I| at every r: |kernel| <= 1).  Returns the n-node
-    (k, real weights), the 2n-node sums and |n - 2n| + 8 eps sum|w f| per column."""
+    """`certified_rule` for integrands with a Gaussian factor: panels to the
+    envelope's e^-40 point resolving |tau| + max radius + each shell's largest
+    radius, one column per entry of ``derivatives``, the integrals at
+    ``radii`` and sum|w f| of the r = 0 integrand f (>= |I| at every r:
+    |kernel| <= 1).  Returns the n-node (k, real weights), the 2n-node sums
+    and the estimate |n - 2n| + ROUNDING sum|w f| per column."""
     k_max = math.sqrt(80.0 / sum(ft_gauss_decay(s) for s in profiles))
     omega = abs(tau) + float(radii.max()) + sum(max(ft_frequencies(s), default=0.0)
                                                 for s in profiles)
 
-    def rule(n):
-        k, w = panel_nodes(k_max, omega, n)
-        f = [w * _radial_integrand(d, 0.0, tau, profiles, der)(k) for der in derivatives]
-        return k, np.stack(f, axis=1).view(float)
+    def weighted(k, w):
+        return np.stack([w * _radial_integrand(d, 0.0, tau, profiles, der)(k)
+                         for der in derivatives], axis=1)
 
-    n, coarse, last = PANEL_NODES, rule(PANEL_NODES), math.inf
-    while True:
-        fine = rule(2 * n)
-        sums = _kernel_sums(d, radii, *fine)
-        diff = np.abs(_kernel_sums(d, radii, *coarse) - sums).max(axis=0)
-        scale = np.abs(coarse[1].view(complex)).sum(axis=0)
-        excess = float(np.max(diff - tol * scale))
-        if excess <= 0.0:
-            return coarse, sums, diff + _ROUNDING * scale
-        if not excess < last:  # down to rounding, or NaN: tol is out of reach
-            raise QuadratureError(f"Gaussian integral: {n} and {2 * n} nodes per panel "
-                                  f"differ by {diff.max():.2e} (tol={tol:.1e})")
-        n, coarse, last = 2 * n, fine, excess
+    (k, wf), sums, estimate = certified_rule(
+        weighted, lambda k, wf: _kernel_sums(d, radii, k, wf.view(float)), k_max, omega, tol)
+    return (k, wf.view(float)), sums, estimate
 
 
 # --------------------------------------------------------------------------
@@ -151,53 +141,24 @@ def _certified_nodes(d: int, tau: float, profiles, radii: np.ndarray, tol: float
 
 _PSI = [-0.5772156649015329 + sum(1.0 / j for j in range(1, n + 1)) for n in range(8)]
 _I_POW = (1.0, 1j, -1.0, -1j)
-_ROUNDING = 8.0 * np.finfo(float).eps  # padded relative rounding of one term
-
-
-def _rho_terms(s) -> list:
-    """rho of a d=3 hard shell as terms (c, p, omega) of c k^-p e^{i omega k}:
-    4 pi (sin ka - ka cos ka) / k^3 = sum_{e=+-1} e^{i e a k} (-2 pi i e k^-3 - 2 pi a k^-2)."""
-    terms = []
-    for a, sign in ((s.r_outer, s.amplitude), (s.r_inner, -s.amplitude)):
-        if a > 0.0:
-            for e in (1.0, -1.0):
-                terms += [(-2j * math.pi * e * sign, 3, e * a), (-2.0 * math.pi * a * sign, 2, e * a)]
-    return terms
-
-
-def _shell_terms(dx: float, tau: float, profiles, derivative: bool = False) -> list:
-    """The d=3 hard-shell integrand of `_radial_integrand` as a finite sum of
-    terms (c, p, omega), each c k^-p e^{i omega k}: the measure, the phase,
-    [i k,] each rho, and sin(k dx)/(k dx) = sum_e e^{i e dx k} e / (2 i dx k)."""
-    terms = [(1j / (4.0 * math.pi**2) if derivative else 1.0 / (4.0 * math.pi**2),
-              -2 if derivative else -1, tau)]
-    factors = [_rho_terms(s) for s in profiles]
-    if dx > 0.0:
-        factors.append([(e / (2j * dx), 1, e * dx) for e in (1.0, -1.0)])
-    for factor in factors:
-        terms = [(c * cf, p + pf, w + wf) for c, p, w in terms for cf, pf, wf in factor]
-    return terms
 
 
 def _finite_part(terms) -> tuple[complex, float, bool]:
-    """Sum of the finite parts of int_0^inf c k^-p e^{i omega k} dk.
+    """Sum of the finite parts of int_0^inf c k^-p e^{i omega k} dk over ``terms``.
 
     Per term, with n = p - 1 >= 0: (i omega)^n / n! [psi(n+1) - ln|omega|
     + i pi/2 sgn omega]; with m = -p >= 0: m! (i/omega)^{m+1}; zero for
     omega = 0.  The divergent parts at k -> 0 cancel because the integrand
-    is regular there, so the sum is the integral.  Terms merge only on
-    exactly equal (p, omega).  Returns (value, sum of |term|, divergent):
-    divergent flags a surviving omega = 0 term with p <= 1, which does not
-    decay at k -> inf.
+    is regular there, so the sum is the integral.  Terms merge on exactly
+    equal (p, omega) (`quadrature._merged`).  Returns (value, sum of |term|,
+    divergent): divergent flags a surviving omega = 0 term with p <= 1, which
+    does not decay at k -> inf.
     """
-    merged: dict = {}
-    for c, p, w in terms:
-        merged[p, w] = merged.get((p, w), 0.0) + c
+    c, p, omega = _merged(*terms[:3])
+    divergent = bool(np.any((omega == 0.0) & (p <= 1.0)))
     re, im, mag = [], [], []
-    divergent = False
-    for (p, w), c in merged.items():
+    for c, p, w in zip(c.tolist(), p.astype(int).tolist(), omega.tolist()):
         if w == 0.0:
-            divergent = divergent or (p <= 1 and c != 0.0)
             continue
         if p >= 1:
             n = p - 1
@@ -216,8 +177,9 @@ def _finite_part_applies(d: int, profiles) -> bool:
     return d == 3 and all(s.kind == HARD_SHELL for s in profiles)
 
 
+
 # --------------------------------------------------------------------------
-# hard-shell tails: the integrand beyond k_split as terms c k^-p e^{i omega k}
+# hard shells: the integrand as terms c k^-p e^{i omega k}
 # --------------------------------------------------------------------------
 
 HANKEL_ORDERS = 8  # d=2 products keep Hankel orders below this; the next order is the bound
@@ -231,8 +193,9 @@ def _times(terms, factor):
     """Product of two term sums (c, p, omega, order), orders above HANKEL_ORDERS dropped."""
     order = terms[3][:, None] + factor[3][None, :]
     keep = order <= HANKEL_ORDERS
-    return ((terms[0][:, None] * factor[0][None, :])[keep],
-            (terms[1][:, None] + factor[1][None, :])[keep],
+    with np.errstate(invalid="ignore"):  # inf (a subnormal dx) x 0 is NaN, as in scalar arithmetic
+        c = terms[0][:, None] * factor[0][None, :]
+    return (c[keep], (terms[1][:, None] + factor[1][None, :])[keep],
             (terms[2][:, None] + factor[2][None, :])[keep], order[keep])
 
 
@@ -258,38 +221,51 @@ def _bessel(nu: float, a: float, coef: complex, k_split: float, nodes: int):
     if a * k_split >= HANKEL_Z0:
         e, m, c = _hankel_coefficients(nu, HANKEL_ORDERS)
         return coef * math.sqrt(0.5 / (math.pi * a)) * c / a**m, 0.5 + m, e * a, m
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     th, w = np.tile(0.5 * math.pi * (x + 1.0), 2), np.tile(w, 2)
     e = np.repeat([1.0, -1.0], nodes)
     return (0.25 * coef * w * np.exp(1j * e * nu * th), np.zeros(2 * nodes), -e * a * np.sin(th),
             np.zeros(2 * nodes, int))
 
 
+def _disc(d: int, a: float, coef: float, k_split: float, nodes: int):
+    """coef times the transform of the disc (d=2) or ball (d=3) of radius a
+    for k >= k_split as terms (c, p, omega, order): 2 pi a J1(k a) / k by
+    `_bessel`, or exactly 4 pi (sin ka - ka cos ka) / k^3 =
+    sum_{e=+-1} e^{i e a k} (-2 pi i e k^-3 - 2 pi a k^-2)."""
+    if d == 2:
+        c, p, omega, order = _bessel(1.0, a, 2.0 * math.pi * a * coef, k_split, nodes)
+        return c, p + 1.0, omega, order
+    c = [x for e in (1.0, -1.0) for x in (-2j * math.pi * e * coef, -2.0 * math.pi * a * coef)]
+    return np.array(c), np.array([3.0, 2.0, 3.0, 2.0]), np.array([a, a, -a, -a]), np.zeros(4, int)
+
+
 def _expansion(d: int, dx: float, tau: float, profiles, derivative: bool, k_split: float,
                nodes: int):
-    """The hard-shell integrand for k >= k_split as terms (c, p, omega, order).
-
-    d=3: the exact `_shell_terms`, with sin(k dx)/(k dx) = 1/2 int_{-1}^1
-    e^{i k dx u} du on ``nodes`` Gauss-Legendre nodes where dx k_split <
-    HANKEL_Z0.  d=2: the measure, phase and [i k] times each rho = 2 pi a
-    J1(k a) / k of the shell's discs and J0(k dx), all by `_bessel`."""
-    if d == 3:
-        average = 0.0 < dx * k_split < HANKEL_Z0
-        c, p, omega = (np.array(x) for x in zip(*_shell_terms(0.0 if average else dx, tau, profiles,
-                                                               derivative)))
-        terms = c, p.real, omega.real, np.zeros(len(c), int)
-        if average:
-            x, w = np.polynomial.legendre.leggauss(nodes)
-            terms = _times(terms, (0.5 * w + 0j, np.zeros(nodes), dx * x, np.zeros(nodes, int)))
-        return terms
-    terms = (np.array([1j / (4.0 * math.pi) if derivative else 1.0 / (4.0 * math.pi)]),
-             np.array([-1.0 if derivative else 0.0]), np.array([tau]), np.zeros(1, int))
+    """The hard-shell integrand of `_radial_integrand` for k >= k_split as
+    terms (c, p, omega, order), factor by factor: the measure, the phase and
+    [i k], each profile's discs (`_disc`), and the kernel: J0(k dx) by
+    `_bessel` (d=2), or sin(k dx)/(k dx) = sum_e e^{i e dx k} e / (2 i dx k)
+    (d=3), averaged as 1/2 int_{-1}^1 e^{i k dx u} du on ``nodes``
+    Gauss-Legendre nodes where dx k_split < HANKEL_Z0.  k_split = inf gives
+    the exact d=3 terms of the finite-part sum."""
+    terms = (np.array([(1j if derivative else 1.0) / (4.0 * math.pi ** (d - 1))]),
+             np.array([2.0 - d - derivative]), np.array([tau]), np.zeros(1, int))
     for s in profiles:
-        discs = [_bessel(1.0, a, 2.0 * math.pi * a * sign * s.amplitude, k_split, nodes)
-                 for a, sign in ((s.r_outer, 1.0), (s.r_inner, -1.0)) if a > 0.0]
-        c, p, omega, order = (np.concatenate(x) for x in zip(*discs))
-        terms = _times(terms, (c, p + 1.0, omega, order))
-    return _times(terms, _bessel(0.0, dx, 1.0, k_split, nodes)) if dx > 0.0 else terms
+        discs = [_disc(d, a, coef, k_split, nodes)
+                 for a, coef in ((s.r_outer, s.amplitude), (s.r_inner, -s.amplitude)) if a > 0.0]
+        terms = _times(terms, tuple(np.concatenate(x) for x in zip(*discs)))
+    if dx == 0.0:
+        return terms
+    if d == 2:
+        kernel = _bessel(0.0, dx, 1.0, k_split, nodes)
+    elif dx * k_split >= HANKEL_Z0:
+        kernel = (np.array([e / (2j * dx) for e in (1.0, -1.0)]), np.ones(2), np.array([dx, -dx]),
+                  np.zeros(2, int))
+    else:
+        x, w = _gauss_legendre(nodes)
+        kernel = 0.5 * w + 0j, np.zeros(nodes), dx * x, np.zeros(nodes, int)
+    return _times(terms, kernel)
 
 
 def _split(terms, k_split: float):
@@ -301,19 +277,20 @@ def _split(terms, k_split: float):
     return tuple(x[~last] for x in terms[:3]), bound
 
 
-def _tail_terms(d: int, dx: float, tau: float, profiles, derivative: bool = False):
-    """The hard-shell integrand of `_radial_integrand` beyond k_split as terms
-    (c, p, omega) of c k^-p e^{i omega k}, a bound on what they leave out
-    there, and k_split (`oscillatory_integral`'s arguments).
+def _tail(d: int, dx: float, tau: float, profiles, derivative: bool = False):
+    """The hard-shell integral of `_radial_integrand` beyond k_split: its value
+    and estimate (`power_tail` of the `_expansion` terms, plus a bound on what
+    they leave out), k_split, and the terms' fastest frequency; the tail,
+    k_split and frequency arguments of `oscillatory_integral`.
 
     k_split = HANKEL_Z0 / (smallest shell radius that is at least SMALL_RADIUS
     times the largest), so every other radius takes the Hankel expansion in
     `_expansion`, and so does the kernel where dx k_split >= HANKEL_Z0.  A
     smaller radius or dx enters as its angular average, which shifts each
     frequency by at most that radius; the difference between ANGULAR_NODES
-    and twice as many adds to the bound.  Where a frequency of the terms at
-    dx = 0 lies within 2 dx of zero (a centre on or near a light-cone edge)
-    the kernel's average would sweep it through zero, so the kernel is
+    and twice as many adds to the estimate.  Where a frequency of the terms
+    at dx = 0 lies within 2 dx of zero (a centre on or near a light-cone
+    edge) the kernel's average would sweep it through zero, so the kernel is
     expanded at k_split = HANKEL_Z0 / dx instead; a radius that needs more
     than CENTRE_PANELS body panels for that raises `ConfigurationError`.
     """
@@ -322,23 +299,20 @@ def _tail_terms(d: int, dx: float, tau: float, profiles, derivative: bool = Fals
 
     radii = [a for s in profiles for a in (s.r_inner, s.r_outer) if a > 0.0]
     k_split = split_at(min(a for a in radii if a >= SMALL_RADIUS * max(radii)))
-    omega = abs(tau) + dx + sum(s.r_outer for s in profiles)  # the fastest frequency
-    if not k_split * omega <= math.pi * MAX_SEGMENTS:
-        raise QuadratureError(f"radial integral: {k_split * omega / math.pi:.3g} segments "
-                              f"> max_segments={MAX_SEGMENTS}")
     if 0.0 < dx * k_split < HANKEL_Z0:
         centre = _expansion(d, 0.0, tau, profiles, derivative, k_split, ANGULAR_NODES)
         if np.abs(centre[2]).min() < 2.0 * dx:
             k_split = split_at(dx)
-            if k_split * omega > math.pi * CENTRE_PANELS:
+            if k_split * (np.abs(centre[2]).max() + dx) > math.pi * CENTRE_PANELS:
                 raise ConfigurationError("too close to a centre on or near a light-cone edge")
     terms, omitted = _split(_expansion(d, dx, tau, profiles, derivative, k_split,
                                        2 * ANGULAR_NODES), k_split)
+    tail, mag = power_tail(terms, k_split)
     if 0.0 < dx * k_split < HANKEL_Z0 or (d == 2 and min(radii) * k_split < HANKEL_Z0):
         coarse, _ = _split(_expansion(d, dx, tau, profiles, derivative, k_split, ANGULAR_NODES),
                            k_split)
-        omitted += abs(power_tail(coarse, k_split)[0] - power_tail(terms, k_split)[0])
-    return terms, omitted, k_split
+        omitted += abs(power_tail(coarse, k_split)[0] - tail)
+    return (tail, omitted + ROUNDING * mag), k_split, float(np.abs(terms[2]).max())
 
 
 def radial_integral(d: int, dx: float, tau: float, profiles, derivative: bool = False,
@@ -346,28 +320,31 @@ def radial_integral(d: int, dx: float, tau: float, profiles, derivative: bool = 
     """The radial integral of `_radial_integrand` with its error estimate.
 
     A Gaussian factor selects `_certified_nodes` and its 2n-node sum.  Given
-    a ``scale`` and only d=3 hard shells, the exact finite-part sum serves
-    wherever its rounding bound 8 eps sum|terms| is within ``tol * scale``,
-    and a sum that diverges (a light-cone edge) raises `ConfigurationError`.
-    Everything else goes through the oscillatory quadrature with the exact
-    tail of `_tail_terms`; its estimate, the omitted Hankel order + |n - 2n|
-    + 8 eps sum|terms|, is returned.  There a surviving omega = 0 term with
-    p <= 1 (a light-cone edge) raises `ConfigurationError`, and so does a
-    radius too close to a centre on such an edge, where the d=3 terms
-    cancel like 1/dx.
+    a ``scale`` and only d=3 hard shells, the exact finite-part sum of the
+    `_expansion` terms serves wherever its rounding bound ROUNDING sum|terms|
+    is within ``tol * scale``, and a sum that diverges (a light-cone edge)
+    raises `ConfigurationError`.  Everything else goes through
+    `oscillatory_integral`: the body by `certified_rule`, plus the exact tail
+    of `_tail`; its estimate, |n - 2n| + ROUNDING sum|w f| + the omitted
+    Hankel order + ROUNDING sum|tail terms|, is returned.  There a surviving
+    omega = 0 term with p <= 1 (a light-cone edge) raises
+    `ConfigurationError`, and so does a radius too close to a centre on such
+    an edge, where the d=3 terms cancel like 1/dx.
     """
+    if not math.isfinite(tau):
+        raise ConfigurationError("the time difference overflows")
     if any(s.kind == GAUSSIAN for s in profiles):
         _, sums, estimate = _certified_nodes(d, tau, profiles, np.array([dx]), tol, (derivative,))
         return complex(sums[0, 0]), float(estimate[0])
     if scale is not None and _finite_part_applies(d, profiles):
-        val, mag, diverges = _finite_part(_shell_terms(dx, tau, profiles, derivative))
+        val, mag, diverges = _finite_part(_expansion(3, dx, tau, profiles, derivative, math.inf, 0))
         if diverges:
             raise ConfigurationError("diverges on a light-cone edge")
-        if _ROUNDING * mag <= tol * scale:
-            return val, _ROUNDING * mag
-    terms, omitted, k_split = _tail_terms(d, dx, tau, profiles, derivative)
-    return oscillatory_integral(_radial_integrand(d, dx, tau, profiles, derivative), terms, k_split,
-                                tol, omitted)
+        if ROUNDING * mag <= tol * scale:
+            return val, ROUNDING * mag
+    tail, k_split, omega = _tail(d, dx, tau, profiles, derivative)
+    return oscillatory_integral(_radial_integrand(d, dx, tau, profiles, derivative), tail, k_split,
+                                omega, tol)
 
 
 def _pair_geometry(gen_i, gen_j):
@@ -382,18 +359,24 @@ def _pair_geometry(gen_i, gen_j):
     return dx, tau
 
 
+@functools.cache
+def _self_floor(s) -> float:
+    """S_ii of a d=3 hard shell less its rounding bound, at least 0; once per profile."""
+    val, mag, _ = _finite_part(_expansion(3, 0.0, 0.0, (s, s), False, math.inf, 0))
+    return max(val.real - ROUNDING * mag, 0.0)
+
+
 def pairing_detail(gen_i, gen_j, d: int, tol: float = 1e-10) -> tuple[complex, float]:
     """Pairing S_ij with its error estimate (`radial_integral`); for two d=3
     hard shells the finite-part sum's scale is sqrt(S_ii S_jj), from the
-    self-pairings' sums less their rounding bounds."""
+    self-pairings' sums less their rounding bounds (`_self_floor`)."""
     profiles = (gen_i.smearing, gen_j.smearing)
     if {s.dimension for s in profiles} != {d}:
         raise ConfigurationError(f"smearing dimensions {[s.dimension for s in profiles]} != {d}")
     dx, tau = _pair_geometry(gen_i, gen_j)
     scale = None
     if _finite_part_applies(d, profiles):
-        selfs = [_finite_part(_shell_terms(0.0, 0.0, (s, s))) for s in profiles]
-        scale = math.sqrt(math.prod(max(v.real - _ROUNDING * m, 0.0) for v, m, _ in selfs))
+        scale = math.sqrt(_self_floor(profiles[0]) * _self_floor(profiles[1]))
     return radial_integral(d, dx, tau, profiles, tol=tol, scale=scale)
 
 
@@ -512,19 +495,19 @@ class ModeProfileEvaluator:
     This is the one mode-function path: Gaussian profiles use the closed
     form (d=3) or one node set (d=2), hard shells the exact finite-part
     sum (d=3) or the body-plus-exact-tail quadrature (d=2); a single radius r is
-    ``evaluate([r])``.  The d=2 node set is the n-node set of the Gaussian
-    pairings' rule (`_certified_nodes`), certified at construction at r = 0
-    and the largest radius that will be requested.  Results are independent
-    of how callers chunk the radii -- grid evaluations stay bit-identical
-    under any threading.
+    ``evaluate([r])``.  The d=2 node set is the n-node set of the one
+    node-doubling rule (`_certified_nodes`), certified at construction at
+    r = 0 and the largest radius that will be requested.  Results are
+    independent of how callers chunk the radii -- grid evaluations stay
+    bit-identical under any threading.
 
-    Hard shells go through `radial_integral` radius by radius.  In d=3 its
-    scale is the sum of |terms| at r = 0 for the same generator, time and
-    quantity (a scale that does not vanish where the value does), so the
-    quadrature serves only where the terms cancel (r -> 0, like 1/r).  A
-    radius on a light-cone edge where I or dI/dt diverges raises
-    `ConfigurationError`, in either dimension, and so does a radius too
-    close to a centre on such an edge (`_tail_terms`).
+    Hard shells go through `radial_integral` radius by radius, on the terms
+    of `_expansion`.  In d=3 its scale is the sum of |terms| at r = 0 for
+    the same generator, time and quantity (a scale that does not vanish
+    where the value does), so the quadrature serves only where the terms
+    cancel (r -> 0, like 1/r).  A radius on a light-cone edge where I or
+    dI/dt diverges raises `ConfigurationError`, in either dimension, and so
+    does a radius too close to a centre on such an edge (`_tail`).
     """
 
     def __init__(self, gen, t: float, d: int, dx_max: float, tol: float = 1e-10):
@@ -537,7 +520,7 @@ class ModeProfileEvaluator:
         self._gaussian_closed = s.kind == GAUSSIAN and d == 3
         self._shell_scale = (None, None)
         if _finite_part_applies(d, (s,)):
-            self._shell_scale = tuple(_finite_part(_shell_terms(0.0, tau, (s,), der))[1]
+            self._shell_scale = tuple(_finite_part(_expansion(3, 0.0, tau, (s,), der, math.inf, 0))[1]
                                       for der in (False, True))
         radii = np.array([0.0, dx_max])
         with naming(f"mode function at t={self.t}, coupling_time={gen.coupling_time}"):

@@ -13,16 +13,16 @@ module only as a fallback: `field_kernel` sums their integrals exactly.
 
 Strategy
 --------
-* Gaussian decay present: `panel_nodes` gives the Gauss-Legendre panels, up
-  to the envelope's e^-40 point, of `field_kernel`'s node-doubling rule.
-* Algebraic decay: `oscillatory_integral` splits [0, inf) at a point K.  The
-  body [0, K] is Gauss-Legendre on half-period panels of the fastest
-  oscillation, with the node count doubled until n and 2n agree.  Beyond K
-  the integrand is a finite sum of terms c k^-p e^{i omega k} (exact for d=3
-  shells, Hankel expansions and angular averages for d=2, supplied by
-  `field_kernel`), and `power_tail` integrates each term exactly through the
-  generalized exponential integral `expint` (DLMF 8.19).  A surviving
-  omega = 0 term with p <= 1 is a divergence, flagged at once.
+* One node-doubling rule, `certified_rule`, serves every production
+  integral: `panel_nodes` (the one panel cap) on [0, K], PANEL_NODES per
+  panel doubled until n and 2n nodes agree, with the rounding ROUNDING
+  sum|w f| and the caller's extra error inside the acceptance.
+* Algebraic decay: `oscillatory_integral` is that rule on [0, K] plus the
+  exact integral beyond K.  There the integrand is a finite sum of terms
+  c k^-p e^{i omega k} (built by `field_kernel._expansion`), and
+  `power_tail` integrates each term exactly through the generalized
+  exponential integral `expint` (DLMF 8.19).  A surviving omega = 0 term
+  with p <= 1 is a divergence, flagged at once.
 * `damped_tail_integral` is an intentionally independent cross-check: it
   multiplies the integrand by e^{-eta k}, integrates the now absolutely
   convergent integral for a ladder of eta values, and extrapolates eta -> 0
@@ -44,7 +44,7 @@ from scipy.special import digamma, gamma
 
 from .errors import ConfigurationError, QuadratureError
 
-MAX_SEGMENTS = 1 << 17  # panel cap of `oscillatory_integral` and `panel_nodes`
+MAX_SEGMENTS = 1 << 17  # panel cap of `panel_nodes`
 PANEL_NODES = 8  # starting Gauss-Legendre nodes per panel (doubled until certified)
 DAMPING_ETA0 = 0.04  # largest damping rate of `damped_tail_integral`
 DAMPING_RUNGS = 7  # its damping rates: DAMPING_ETA0 / 2^j, j < DAMPING_RUNGS
@@ -53,6 +53,7 @@ EXPINT_CUT = 2.0  # `expint` takes the continued fraction at |z| >= EXPINT_CUT, 
 EXPINT_STEPS = 1000  # its continued-fraction step cap
 EXPINT_SERIES = 32  # its series terms: 2^32 / 32! < 1e-25
 _EPS = np.finfo(float).eps
+ROUNDING = 8.0 * _EPS  # padded relative rounding of one term or node of a sum
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -77,62 +78,13 @@ def segment_integrals(f, edges: np.ndarray, nodes: int = 24) -> np.ndarray:
     return (vals * w[None, :]).sum(axis=1) * half
 
 
-# no longer called by the package; perfbench/spans.py still looks the name up
+# perfbench/spans.py looks both names up; nothing else calls them
 def wynn_epsilon(partial_sums: np.ndarray) -> np.ndarray:
-    """Diagonal (even-column) estimates of Wynn's epsilon table.
-
-    Returns the sequence of accelerated estimates, last entry deepest.
-    Exact ties produce infinities that the recursion absorbs one column
-    later (the classical self-healing step); the table is cut off once the
-    working differences fall to rounding level, where deeper columns only
-    amplify noise, and non-finite diagonal entries are never reported.
-    """
-    s = np.asarray(partial_sums, dtype=complex)
-    scale = float(np.abs(s).max()) + 1e-300
-    prev_prev = np.zeros(len(s) + 1, dtype=complex)
-    prev = s.copy()
-    diag = [s[-1]]
-    for m in range(1, len(s)):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            d = np.diff(prev)
-        finite = np.isfinite(d)
-        if not finite.any():
-            break
-        if m >= 2 and np.abs(d[finite]).max() <= 1e-14 * scale:
-            break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            cur = prev_prev[1 : len(prev)] + 1.0 / d
-        if len(cur) == 0:
-            break
-        prev_prev, prev = prev, cur
-        if m % 2 == 0:
-            good = cur[np.isfinite(cur)]
-            if len(good):
-                diag.append(good[-1])
-    return np.array(diag)
+    raise NotImplementedError("wynn_epsilon is gone; only perfbench/spans.py still names it")
 
 
-# no longer called by the package; perfbench/spans.py still looks the name up
 def _tail_model_intercept(k_samples, s_samples, osc_freqs, powers) -> complex:
-    """LS fit of S(K) = I - tail(K); returns the intercept I.
-
-    Tail basis: K^-p and, per oscillatory frequency, cos/sin(nu K) * K^-p.
-    Columns are normalised for conditioning.
-    """
-    cols = [np.ones_like(k_samples)]
-    for p in powers:
-        cols.append(k_samples ** (-float(p)))
-    for nu in osc_freqs:
-        c, s = np.cos(nu * k_samples), np.sin(nu * k_samples)
-        for p in powers:
-            kp = k_samples ** (-float(p))
-            cols.append(c * kp)
-            cols.append(s * kp)
-    A = np.stack(cols, axis=1)
-    norms = np.linalg.norm(A, axis=0)
-    norms[norms == 0.0] = 1.0
-    coef, *_ = np.linalg.lstsq(A / norms, s_samples, rcond=None)
-    return coef[0] / norms[0]
+    raise NotImplementedError("_tail_model_intercept is gone; only perfbench/spans.py still names it")
 
 
 def expint(p, z) -> np.ndarray:
@@ -190,7 +142,7 @@ def _merged(c, p, omega):
     """Terms merged on exactly equal (p, omega); zero coefficients dropped."""
     order = np.lexsort((omega, p))
     c, p, omega = c[order], p[order], omega[order]
-    first = np.r_[True, (p[1:] != p[:-1]) | (omega[1:] != omega[:-1])]
+    first = np.concatenate(([True], (p[1:] != p[:-1]) | (omega[1:] != omega[:-1])))
     group = np.cumsum(first) - 1
     c = np.bincount(group, c.real) + 1j * np.bincount(group, c.imag)
     keep = c != 0.0
@@ -212,37 +164,60 @@ def power_tail(terms, k_split: float) -> tuple[complex, float]:
     return complex(vals.sum()), float(np.abs(vals).sum())
 
 
-def oscillatory_integral(integrand, terms, k_split: float, tol: float = 1e-10,
-                         omitted: float = 0.0) -> tuple[complex, float]:
-    """int_0^inf of ``integrand`` (algebraic decay) as a body on [0, k_split]
-    plus the exact tail of its expansion ``terms`` (see `power_tail`).
-
-    The body is Gauss-Legendre on panels of pi / max|omega|, PANEL_NODES per
-    panel doubled until n and 2n nodes agree.  The estimate, ``omitted`` (the
-    caller's bound on what ``terms`` leave out beyond k_split) + |n - 2n| +
-    8 eps (sum|panel| + sum|tail term|), must be within tol * sum|panel|;
-    otherwise `QuadratureError`.  Returns the 2n-node value and the estimate.
-    """
-    n_panels = k_split * float(np.abs(terms[2]).max()) / math.pi
+def panel_nodes(k_max: float, omega: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, k_max], ``nodes`` per panel
+    resolving oscillations of rate ``omega``.  More than MAX_SEGMENTS panels,
+    or a count that is not a number, raise `QuadratureError` at once."""
+    h = math.pi / max(omega, 1.0)
+    n_panels = k_max / h if h else math.inf
     if not n_panels <= MAX_SEGMENTS:
-        raise QuadratureError(f"radial integral: {n_panels:.3g} segments "
-                              f"> max_segments={MAX_SEGMENTS}")
-    n_panels = max(math.ceil(n_panels), 1)
-    tail, tail_mag = power_tail(terms, k_split)
-    edges = np.linspace(0.0, k_split, n_panels + 1)
-    n, coarse, last = PANEL_NODES, segment_integrals(integrand, edges, PANEL_NODES).sum(), math.inf
+        raise QuadratureError(f"radial integral: {n_panels:.3g} segments > max_segments={MAX_SEGMENTS}")
+    pts, w, half = _segment_nodes(np.linspace(0.0, k_max, max(math.ceil(n_panels), 1) + 1), nodes)
+    return pts.ravel(), (w[None, :] * half[:, None]).ravel()
+
+
+def certified_rule(weighted, sums, k_end: float, omega: float, tol: float, extra: float = 0.0):
+    """The node-doubling rule of every radial integral on [0, k_end].
+
+    ``weighted(k, w)`` gives w f(k) at the `panel_nodes` (k, w), one column
+    per integrand; ``sums(k, wf)`` the integrals, one row per radius.
+    PANEL_NODES per panel are doubled until in every column |n - 2n| (largest
+    row) + ROUNDING sum|w f| + ``extra`` <= tol sum|w f|, sum|w f| at n nodes.
+    Returns the n-node (k, w f), the 2n-node sums and that estimate per
+    column.  An excess that stops shrinking, or is NaN, raises
+    `QuadratureError` with the sums and estimates reached."""
+    def rule(n):
+        k, w = panel_nodes(k_end, omega, n)
+        return k, weighted(k, w)
+
+    n, coarse, last = PANEL_NODES, rule(PANEL_NODES), math.inf
+    coarse_sums = sums(*coarse)
     while True:
-        fine = segment_integrals(integrand, edges, 2 * n)
-        body, scale = fine.sum(), float(np.abs(fine).sum())
-        diff = abs(body - coarse)
-        err = omitted + diff + _EPS * 8.0 * (scale + tail_mag)
-        if err <= tol * scale:
-            return complex(body + tail), float(err)
-        if diff <= 0.5 * tol * scale or not diff < last:  # more nodes cannot help
-            raise QuadratureError(f"radial integral: estimate {err:.2e} > tol * scale = "
-                                  f"{tol * scale:.2e} at {2 * n} nodes per panel",
-                                  value=complex(body + tail), estimate=float(err))
-        n, coarse, last = 2 * n, body, diff
+        fine = rule(2 * n)
+        fine_sums = sums(*fine)
+        scale = np.abs(coarse[1]).sum(axis=0)
+        err = np.abs(coarse_sums - fine_sums).max(axis=0) + ROUNDING * scale + extra
+        excess = float(np.max(err - tol * scale))
+        if excess <= 0.0:
+            return coarse, fine_sums, err
+        if not excess < last:
+            raise QuadratureError(f"radial integral: {n} and {2 * n} nodes per panel leave an "
+                                  f"estimate {err.max():.2e} (tol={tol:.1e})",
+                                  value=fine_sums, estimate=err)
+        n, coarse, coarse_sums, last = 2 * n, fine, fine_sums, excess
+
+
+def oscillatory_integral(integrand, tail, k_split: float, omega: float,
+                         tol: float = 1e-10) -> tuple[complex, float]:
+    """int_0^inf of ``integrand`` (algebraic decay): a body on [0, k_split] by
+    `certified_rule` on panels resolving ``omega``, summed over all nodes at
+    once, plus ``tail`` = (value, estimate) of the integral beyond k_split
+    (see `power_tail`), whose estimate is the rule's ``extra``.  Returns the
+    2n-node value and the estimate."""
+    _, sums, err = certified_rule(lambda k, w: (w * integrand(k))[:, None],
+                                  lambda k, wf: wf.sum(axis=0, keepdims=True) + tail[0],
+                                  k_split, omega, tol, tail[1])
+    return complex(sums[0, 0]), float(err[0])
 
 
 def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
@@ -285,15 +260,3 @@ def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
     coef, *_ = np.linalg.lstsq(cols, vals, rcond=None)
     coef_drop, *_ = np.linalg.lstsq(cols[1:], vals[1:], rcond=None)
     return complex(coef[0]), float(abs(coef[0] - coef_drop[0]))
-
-
-def panel_nodes(k_max: float, omega: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, k_max], ``nodes`` per panel, for
-    Gaussian envelopes; the panel length resolves oscillations of rate ``omega``.
-    More than MAX_SEGMENTS panels raise `QuadratureError` before any allocation."""
-    h = math.pi / max(omega, 1.0)
-    n_panels = max(int(math.ceil(k_max / h)), 1)
-    if n_panels > MAX_SEGMENTS:
-        raise QuadratureError(f"Gaussian integral: {n_panels} segments > max_segments={MAX_SEGMENTS}")
-    pts, w, half = _segment_nodes(np.linspace(0.0, k_max, n_panels + 1), nodes)
-    return pts.ravel(), (w[None, :] * half[:, None]).ravel()

@@ -406,7 +406,7 @@ def test_self_pairing_transforms_its_profile_once(monkeypatch):
 
 def test_far_gaussian_pair_fails_fast():
     t0 = time.perf_counter()
-    message = r"Gaussian integral: \d+ segments > max_segments=131072"
+    message = r"radial integral: \S+ segments > max_segments=131072"
     for gi, gj, d in ((gen_gaussian(3), gen_gaussian(3, center=(1e6, 0.0, 0.0)), 3),
                       (gen_gaussian(2), gen_gaussian(2, center=(1e6, 0.0)), 2),
                       (gen_gaussian(3), gen_shell(3, 0.5, 1.25, center=(1e6, 0.0, 0.0)), 3)):
@@ -426,9 +426,9 @@ def test_gaussian_rule_stops_on_nan_comparisons():
     # a NaN tol makes every n vs 2n comparison NaN; node doubling must stop
     t0 = time.perf_counter()
     with pytest.raises(QuadratureError, match=r"mode function at t=2\.0, coupling_time=0\.0: "
-                                               r"Gaussian integral: 8 and 16 nodes per panel"):
+                                               r"radial integral: 8 and 16 nodes per panel"):
         ModeProfileEvaluator(gen_gaussian(2), 2.0, 2, 1.0, tol=math.nan)
-    with pytest.raises(QuadratureError, match=r"pairing \(0, 0\): Gaussian integral"):
+    with pytest.raises(QuadratureError, match=r"pairing \(0, 0\): radial integral"):
         pairing_matrix([gen_gaussian(3), gen_gaussian(3, center=(1.0, 0.0, 0.0))], 3, tol=math.nan)
     assert time.perf_counter() - t0 < 1.0
 
@@ -524,6 +524,18 @@ def test_overflowing_distance_is_typed_error(d):
         pairing_matrix([gen_gaussian(d, far), gen_gaussian(d, near)], d)
 
 
+@pytest.mark.parametrize("d", (2, 3))
+def test_overflowing_time_difference_is_typed_error(d):
+    # coupling times of -+1e308 are finite; their difference is not
+    early, late = gen_shell(d, 0.5, 1.25, t=-1e308), gen_shell(d, 0.5, 1.25, t=1e308)
+    with pytest.raises(ConfigurationError, match=r"^pairing \(0, 1\): the time difference overflows"):
+        pairing_matrix([early, late], d)
+    with pytest.raises(ConfigurationError, match="the time difference overflows"):
+        pairing(gen_gaussian(d, t=-1e308), gen_gaussian(d, t=1e308), d)
+    with pytest.raises(ConfigurationError, match=r"^I at r=0\.5, t=1e\+308, coupling_time=-1e\+308: "):
+        ModeProfileEvaluator(early, 1e308, d, 0.5).evaluate([0.5])
+
+
 # --------------------------------------------------------------------------
 # d=3 hard shells: exact finite-part sums
 # --------------------------------------------------------------------------
@@ -552,6 +564,71 @@ def quadrature_pairing(gi, gj):
 
     dx, tau = fk._pair_geometry(gi, gj)
     return radial_integral(3, dx, tau, (gi.smearing, gj.smearing))[0]
+
+
+# The d=3 term builder and finite-part sum as scalar tuple lists, kept verbatim
+# from before the terms were built as arrays: the bitwise reference of
+# `_expansion` at k_split = inf and `_finite_part`.
+_PSI = [-0.5772156649015329 + sum(1.0 / j for j in range(1, n + 1)) for n in range(8)]
+_I_POW = (1.0, 1j, -1.0, -1j)
+
+
+def _rho_terms(s) -> list:
+    """rho of a d=3 hard shell as terms (c, p, omega) of c k^-p e^{i omega k}:
+    4 pi (sin ka - ka cos ka) / k^3 = sum_{e=+-1} e^{i e a k} (-2 pi i e k^-3 - 2 pi a k^-2)."""
+    terms = []
+    for a, sign in ((s.r_outer, s.amplitude), (s.r_inner, -s.amplitude)):
+        if a > 0.0:
+            for e in (1.0, -1.0):
+                terms += [(-2j * math.pi * e * sign, 3, e * a), (-2.0 * math.pi * a * sign, 2, e * a)]
+    return terms
+
+
+def _shell_terms(dx: float, tau: float, profiles, derivative: bool = False) -> list:
+    """The d=3 hard-shell integrand of `_radial_integrand` as a finite sum of
+    terms (c, p, omega), each c k^-p e^{i omega k}: the measure, the phase,
+    [i k,] each rho, and sin(k dx)/(k dx) = sum_e e^{i e dx k} e / (2 i dx k)."""
+    terms = [(1j / (4.0 * math.pi**2) if derivative else 1.0 / (4.0 * math.pi**2),
+              -2 if derivative else -1, tau)]
+    factors = [_rho_terms(s) for s in profiles]
+    if dx > 0.0:
+        factors.append([(e / (2j * dx), 1, e * dx) for e in (1.0, -1.0)])
+    for factor in factors:
+        terms = [(c * cf, p + pf, w + wf) for c, p, w in terms for cf, pf, wf in factor]
+    return terms
+
+
+def _finite_part(terms) -> tuple[complex, float, bool]:
+    """Sum of the finite parts of int_0^inf c k^-p e^{i omega k} dk.
+
+    Per term, with n = p - 1 >= 0: (i omega)^n / n! [psi(n+1) - ln|omega|
+    + i pi/2 sgn omega]; with m = -p >= 0: m! (i/omega)^{m+1}; zero for
+    omega = 0.  The divergent parts at k -> 0 cancel because the integrand
+    is regular there, so the sum is the integral.  Terms merge only on
+    exactly equal (p, omega).  Returns (value, sum of |term|, divergent):
+    divergent flags a surviving omega = 0 term with p <= 1, which does not
+    decay at k -> inf.
+    """
+    merged: dict = {}
+    for c, p, w in terms:
+        merged[p, w] = merged.get((p, w), 0.0) + c
+    re, im, mag = [], [], []
+    divergent = False
+    for (p, w), c in merged.items():
+        if w == 0.0:
+            divergent = divergent or (p <= 1 and c != 0.0)
+            continue
+        if p >= 1:
+            n = p - 1
+            f = _I_POW[n % 4] * w**n / math.factorial(n) * complex(
+                _PSI[n] - math.log(abs(w)), math.copysign(0.5 * math.pi, w))
+        else:
+            f = math.factorial(-p) * _I_POW[(1 - p) % 4] / w ** (1 - p)
+        term = c * f
+        re.append(term.real)
+        im.append(term.imag)
+        mag.append(abs(term))
+    return complex(math.fsum(re), math.fsum(im)), math.fsum(mag), divergent
 
 
 class TestShellFiniteParts:
@@ -605,12 +682,30 @@ class TestShellFiniteParts:
 
         for gi, gj, key in shell_pairs(table1_3):
             dx, tau = fk._pair_geometry(gi, gj)
-            terms = fk._shell_terms(dx, tau, (gi.smearing, gj.smearing))
+            c, p, omega, _ = fk._expansion(3, dx, tau, (gi.smearing, gj.smearing), False,
+                                           math.inf, 0)
+            terms = list(zip(c.tolist(), p.astype(int).tolist(), omega.tolist()))
             for q in range(1, max(p for _, p, _ in terms) + 1):
                 parts = [c * (1j * w) ** (p - q) / math.factorial(p - q)
                          for c, p, w in terms if p >= q]
                 total = complex(math.fsum(z.real for z in parts), math.fsum(z.imag for z in parts))
                 assert abs(total) <= 1e-13 * sum(map(abs, parts)), (key, q)
+
+    def test_finite_parts_match_the_scalar_reference(self, table1_3):
+        # value, sum|terms| and divergence flag are equal to the tuple-list reference
+        # on the pairs, their self-pairings and the r = 0 mode-function scales
+        import qicsim.field_kernel as fk
+
+        cases = []
+        for gi, gj, _ in shell_pairs(table1_3):
+            dx, tau = fk._pair_geometry(gi, gj)
+            cases.append((dx, tau, (gi.smearing, gj.smearing), False))
+            cases += [(0.0, 0.0, (g.smearing, g.smearing), False) for g in (gi, gj)]
+        for s in (gen_shell(3, 0.5, 1.25).smearing, table1_3.alice.smearing):
+            cases += [(0.0, t, (s,), der) for t in (1.25, 2.1) for der in (False, True)]
+        for dx, tau, profiles, der in cases:
+            got = fk._finite_part(fk._expansion(3, dx, tau, profiles, der, math.inf, 0))
+            assert got == _finite_part(_shell_terms(dx, tau, profiles, der)), (dx, tau, der)
 
     def test_mode_functions_match_quadrature_and_pass_the_stalls(self, monkeypatch):
         import qicsim.field_kernel as fk
