@@ -351,7 +351,10 @@ def _pair_geometry(gen_i, gen_j):
     ci = np.asarray(gen_i.smearing.center)
     cj = np.asarray(gen_j.smearing.center)
     with np.errstate(over="ignore"):
-        dx = float(np.linalg.norm(ci - cj))
+        diff = ci - cj
+        dx = float(np.linalg.norm(diff))
+    if not math.isfinite(dx):  # the norm squares; hypot does not, but rounds differently
+        dx = math.hypot(*diff)
     if not math.isfinite(dx):
         raise ConfigurationError(f"the distance between centres {gen_i.smearing.center} and "
                                  f"{gen_j.smearing.center} overflows")
@@ -516,6 +519,9 @@ class ModeProfileEvaluator:
         self.d = int(d)
         self.tol = tol
         self._tau = tau = self.t - gen.coupling_time  # e^{-ik(t0 - t)} = e^{ik tau}
+        where = f"mode function at t={self.t}, coupling_time={gen.coupling_time}"
+        if not math.isfinite(tau):
+            raise ConfigurationError(f"{where}: the time difference overflows")
         s = gen.smearing
         self._gaussian_closed = s.kind == GAUSSIAN and d == 3
         self._shell_scale = (None, None)
@@ -523,7 +529,7 @@ class ModeProfileEvaluator:
             self._shell_scale = tuple(_finite_part(_expansion(3, 0.0, tau, (s,), der, math.inf, 0))[1]
                                       for der in (False, True))
         radii = np.array([0.0, dx_max])
-        with naming(f"mode function at t={self.t}, coupling_time={gen.coupling_time}"):
+        with naming(where):
             self._nodes = (_certified_nodes(2, tau, (s,), radii, tol, (False, True))[0]
                            if s.kind == GAUSSIAN and d == 2 else None)
 

@@ -37,7 +37,11 @@ achieved accuracy instead of assuming it.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import digamma, gamma
@@ -220,6 +224,15 @@ def oscillatory_integral(integrand, tail, k_split: float, omega: float,
     return complex(sums[0, 0]), float(err[0])
 
 
+def _damped_slab(integrand, h: float, etas, counts, a: int, b: int) -> list[np.ndarray]:
+    """Segment sums of f(k) e^{-eta k} over segments a..b-1 of the damped
+    grid, one array per rung that reaches into them (a suffix of the rungs)."""
+    k, w, half = _segment_nodes(h * np.arange(a, b + 1), DAMPING_NODES)
+    f = np.asarray(integrand(k.ravel())).reshape(k.shape)
+    return [(f[:m] * np.exp(-eta * k[:m]) * w).sum(axis=1) * half[:m]
+            for eta, n in zip(etas, counts) if (m := min(n - a, b - a)) > 0]
+
+
 def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
     """Independent evaluation of int_0^inf f(k) dk by damped-tail extrapolation.
 
@@ -229,22 +242,37 @@ def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
     One integrand pass over the smallest eta's grid (segments of pi/(omega+1))
     serves every rung; rung eta damps and sums only its prefix, k <= 45/eta.
     Slow but accurate; intended for cross-checks, not production paths.
+
+    The pass runs on every CPU of ``os.sched_getaffinity``: each block of
+    segments is split into one slab per CPU, slabs are evaluated in a thread
+    pool (at most one per CPU at a time), and each rung's segment sums are
+    added up in fixed chunks in grid order.  Value and estimate therefore do
+    not depend on the CPU count, but ``integrand`` must be thread-safe.
     """
     h = math.pi / (omega + 1.0)
     etas = DAMPING_ETA0 * 0.5 ** np.arange(DAMPING_RUNGS)
     counts = [int(math.ceil(45.0 / eta / h)) for eta in etas]
+    total, workers = counts[-1], len(os.sched_getaffinity(0))
     chunk, block = 50000, 2500  # rungs sum per chunk (fixes the bytes); block divides chunk
+    bounds = [min(i0 + block * s // workers, total) for i0 in range(0, total, block)
+              for s in range(workers)]  # each block splits into one slab per worker
+    slabs = ((a, b) for a, b in zip(bounds, bounds[1:] + [total]) if a < b)
     seg = np.empty((DAMPING_RUNGS, chunk), dtype=complex)
     vals = np.zeros(DAMPING_RUNGS, dtype=complex)
-    for i0 in range(0, counts[-1], block):
-        edges = h * np.arange(i0, min(i0 + block, counts[-1]) + 1)
-        k, w, half = _segment_nodes(edges, DAMPING_NODES)
-        f = np.asarray(integrand(k.ravel())).reshape(k.shape)
-        for j, n in enumerate(counts):
-            m, c0 = min(n - i0, len(half)), i0 % chunk  # m: rung j's segments here
-            if m > 0:
-                seg[j, c0 : c0 + m] = (f[:m] * np.exp(-etas[j] * k[:m]) * w).sum(axis=1) * half[:m]
-                if i0 + m == n or c0 + m == chunk:  # rung j's chunk is complete
+    with ThreadPoolExecutor(workers) as pool:
+        def submit(slab):
+            return slab[0], pool.submit(_damped_slab, integrand, h, etas, counts, *slab)
+
+        running = deque(map(submit, itertools.islice(slabs, workers)))
+        while running:  # at most one slab per worker in flight, taken in grid order
+            a, future = running.popleft()
+            sums = future.result()
+            running.extend(map(submit, itertools.islice(slabs, 1)))
+            c0 = a % chunk
+            for j, s in enumerate(sums, DAMPING_RUNGS - len(sums)):
+                m = len(s)  # rung j's segments in this slab
+                seg[j, c0 : c0 + m] = s
+                if a + m == counts[j] or c0 + m == chunk:  # rung j's chunk is complete
                     vals[j] += seg[j, : c0 + m].sum()
     cols = np.stack(
         [

@@ -93,27 +93,30 @@ def spatial_eval(s: RadialSmearing, x) -> float:
 _SHELL_SERIES_CUT = 1e-2
 
 
-def _ball_ft3(a: float, k: np.ndarray) -> np.ndarray:
-    out = np.empty_like(k)
+def _piecewise(a: float, k: np.ndarray, closed, series) -> np.ndarray:
+    """closed(k) where a k >= _SHELL_SERIES_CUT, series(a k) below; without
+    masks when no a k is small (the same arithmetic per element)."""
     small = a * k < _SHELL_SERIES_CUT
-    ks = k[~small]
-    x = a * ks
-    out[~small] = 4.0 * np.pi * (np.sin(x) - x * np.cos(x)) / ks**3
-    x = a * k[small]
-    out[small] = 4.0 * np.pi * a**3 * (
-        1.0 / 3.0 - x**2 / 30.0 + x**4 / 840.0 - x**6 / 45360.0
-    )
+    if not small.any():
+        return closed(k)
+    out = np.empty_like(k)
+    out[~small] = closed(k[~small])
+    out[small] = series(a * k[small])
     return out
+
+
+def _ball_ft3(a: float, k: np.ndarray) -> np.ndarray:
+    def closed(ks):
+        x = a * ks
+        return 4.0 * np.pi * (np.sin(x) - x * np.cos(x)) / ks**3
+
+    return _piecewise(a, k, closed, lambda x: 4.0 * np.pi * a**3 * (
+        1.0 / 3.0 - x**2 / 30.0 + x**4 / 840.0 - x**6 / 45360.0))
 
 
 def _disc_ft2(a: float, k: np.ndarray) -> np.ndarray:
-    out = np.empty_like(k)
-    small = a * k < _SHELL_SERIES_CUT
-    ks = k[~small]
-    out[~small] = 2.0 * np.pi * a * j1(a * ks) / ks
-    x = a * k[small]
-    out[small] = np.pi * a**2 * (1.0 - x**2 / 8.0 + x**4 / 192.0 - x**6 / 9216.0)
-    return out
+    return _piecewise(a, k, lambda ks: 2.0 * np.pi * a * j1(a * ks) / ks,
+                      lambda x: np.pi * a**2 * (1.0 - x**2 / 8.0 + x**4 / 192.0 - x**6 / 9216.0))
 
 
 def radial_ft(s: RadialSmearing, k) -> np.ndarray | float:
@@ -219,7 +222,8 @@ def ft_oracle(s: RadialSmearing, k_vec, tol: float = 1e-11) -> complex:
         acc = np.zeros(h)
         for i0 in range(0, len(r), _ORACLE_ROWS):
             rows = slice(i0, i0 + _ORACLE_ROWS)
-            acc += radial[rows] @ np.cos(np.outer(kmag * r[rows], cos_th))
+            block = np.multiply.outer(kmag * r[rows], cos_th)
+            acc += radial[rows] @ np.cos(block, out=block)
         return float(acc @ ang)
 
     phase = np.exp(1j * float(np.dot(k_vec, s.center)))

@@ -282,12 +282,17 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
     (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "sigma": 0.2, "center": [1e308, 0, 0]},
                                            {**_GAUSS, "sigma": 0.2, "center": [-1e308, 0, 0]}]}},
      "pairing (0, 1): the distance between centres"),
+    # t - coupling_time = 1e308 - (-1e308) overflows; the d=3 closed form would write NaN rows
+    (["evolve", "--t", "1e308", "--grid", "x=0:1:0.5,y=0,z=0"],
+     {"scenario": {"generators": [{**_GAUSS, "t": -1e308}]}},
+     "mode function at t=1e+308, coupling_time=-1e+308: the time difference overflows"),
 ], ids=["grid-value", "grid-inf", "config-json", "no-alice", "no-r-outer", "sigma-text",
         "center-number", "alice-number", "bobs-number", "generators-number",
         "generator-number", "grid-number", "out-number", "dimension-fraction",
         "threads-fraction", "t-boolean", "coupling-boolean", "dimension-inf", "threads-inf",
         "search-tol-zero", "search-tol-negative", "search-tol-nan", "tol-zero", "tol-negative",
-        "tol-nan", "evolve-tol-nan", "grid-too-large", "centres-overflow"])
+        "tol-nan", "evolve-tol-nan", "grid-too-large", "centres-overflow",
+        "time-overflow"])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, argv, config, named):
     argv = argv + ["--out", str(tmp_path / "out")]
     if config is not None:
@@ -298,6 +303,7 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, argv, config, named
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
+    assert not list(tmp_path.glob("out*"))  # nothing written
 
 
 @pytest.mark.parametrize("value", (3, 3.0, "3"))

@@ -532,8 +532,18 @@ def test_overflowing_time_difference_is_typed_error(d):
         pairing_matrix([early, late], d)
     with pytest.raises(ConfigurationError, match="the time difference overflows"):
         pairing(gen_gaussian(d, t=-1e308), gen_gaussian(d, t=1e308), d)
-    with pytest.raises(ConfigurationError, match=r"^I at r=0\.5, t=1e\+308, coupling_time=-1e\+308: "):
-        ModeProfileEvaluator(early, 1e308, d, 0.5).evaluate([0.5])
+    # the evaluator refuses the time at construction, for every profile kind
+    for gen in (early, gen_gaussian(d, t=-1e308)):
+        with pytest.raises(ConfigurationError, match=r"^mode function at t=1e\+308, "
+                           r"coupling_time=-1e\+308: the time difference overflows$"):
+            ModeProfileEvaluator(gen, 1e308, d, 0.5)
+
+
+def test_far_centres_fall_back_to_hypot():
+    # |c_i - c_j|^2 = 1e400 overflows in the norm; the distance 1e200 does not
+    near, far = gen_shell(3, 0.5, 1.25), gen_shell(3, 0.5, 1.25, center=(1e200, 0.0, 0.0))
+    assert _pair_geometry(near, far) == (1e200, 0.0)
+    assert spacelike_separated(near, far)
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -61,6 +63,32 @@ def test_damped_tail_evaluates_each_node_once():
     h = math.pi / (omega + 1.0)
     eta_min = quadrature.DAMPING_ETA0 * 0.5 ** (quadrature.DAMPING_RUNGS - 1)
     assert sum(points) == int(math.ceil(45.0 / eta_min / h)) * quadrature.DAMPING_NODES
+
+
+def test_damped_tail_bytes_do_not_depend_on_cpu_count(monkeypatch):
+    def hexes():
+        value, err = damped_tail_integral(algebraic, omega=3.0)
+        return value.real.hex(), value.imag.hex(), err.hex()
+
+    every = hexes()
+    for cpus in ({0}, {0, 1, 2}):  # one slab per block; three uneven slabs per block
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert hexes() == every
+
+
+def test_damped_tail_integrand_error_propagates_and_pool_stops():
+    late = ConfigurationError("late block")
+
+    def failing(k):
+        if k.min() > 50000.0:  # segment ~64000 of ~92000
+            raise late
+        return algebraic(k)
+
+    before = threading.active_count()
+    with pytest.raises(ConfigurationError) as info:
+        damped_tail_integral(failing, omega=3.0)
+    assert info.value is late
+    assert threading.active_count() == before
 
 
 # (p, x, Re E_p(-i x), Im E_p(-i x)) to 30 significant digits, computed once
