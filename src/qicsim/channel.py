@@ -20,25 +20,38 @@ Everything else - detector energy gaps in particular - cancels exactly.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericConsistencyError, naming
 from .field_kernel import pairing_detail
-from .qic import Generator
+from .qic import MAX_GRID_VALUES, Generator
 from .smearing import HARD_SHELL, support_radius
 
 NEGATIVITY_FLOOR = -1e-12
 NORMALIZATION_TOL = 1e-10
 
-SUBSET_ORDER = ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (0, 1, 2))
+
+def receiver_subsets(n: int) -> list[tuple[int, ...]]:
+    """Every nonempty subset of n receivers, ordered by size, then span
+    (last index - first), then lexicographically.  For n = 3: B1, B2, B3,
+    B1B2, B2B3, B1B3, B1B2B3."""
+    subsets = [s for k in range(1, n + 1) for s in combinations(range(n), k)]
+    return sorted(subsets, key=lambda s: (len(s), s[-1] - s[0], s))
 
 
 def subset_label(subset) -> str:
     return "".join(f"B{i + 1}" for i in subset)
+
+
+def _check_receiver_count(n: int) -> None:
+    """The outcome sum's 2^n x 3^n sign table shares the grid's value budget
+    (n <= 8); a larger n is refused before anything is computed."""
+    if 6**n > MAX_GRID_VALUES:
+        raise ConfigurationError(f"{n} receivers: the 2^{n} x 3^{n} sign table exceeds "
+                                 f"the budget of {MAX_GRID_VALUES} values")
 
 
 @dataclass(frozen=True)
@@ -80,18 +93,16 @@ class ChannelMoments:
 
 @dataclass(frozen=True)
 class ChannelScenario:
-    """Sender plus exactly three receiver detectors at a common later time.
+    """Sender plus one or more receiver detectors at a common later time.
 
     ``geometry`` records, per receiver, where its shell sits relative to the
-    smeared light cone of the sender's coupling region (inside / straddling
-    / outside); a mismatch with that expected ordering only warns, since it
-    is a property of the scenario rather than a precondition.
+    smeared light cone of the sender's coupling region (`classify_receiver`).
     """
 
     alice: Generator
-    bobs: tuple[Generator, Generator, Generator]
+    bobs: tuple[Generator, ...]
     dimension: int
-    geometry: tuple[str, str, str]
+    geometry: tuple[str, ...]
 
     @property
     def delta_t(self) -> float:
@@ -118,8 +129,9 @@ def classify_receiver(bob: Generator, alice: Generator, delta_t: float) -> str:
 
 def make_channel_scenario(alice: Generator, bobs, dimension: int) -> ChannelScenario:
     bobs = tuple(bobs)
-    if len(bobs) != 3:
-        raise ConfigurationError("scenario takes exactly three receiver detectors")
+    if not bobs:
+        raise ConfigurationError("scenario has no receiver detectors")
+    _check_receiver_count(len(bobs))
     t_dec = bobs[0].coupling_time
     for b in bobs:
         if b.coupling_time != t_dec:
@@ -132,12 +144,6 @@ def make_channel_scenario(alice: Generator, bobs, dimension: int) -> ChannelScen
     if delta_t <= 0.0:
         raise ConfigurationError("decoding must happen after encoding")
     geometry = tuple(classify_receiver(b, alice, delta_t) for b in bobs)
-    expected = ("inside", "straddling", "outside")
-    if geometry != expected:
-        warnings.warn(
-            f"receiver geometry {geometry} differs from expected {expected}",
-            stacklevel=2,
-        )
     return ChannelScenario(alice=alice, bobs=bobs, dimension=dimension, geometry=geometry)
 
 
@@ -163,7 +169,7 @@ def scenario_moments(sc: ChannelScenario, tol: float = 1e-10) -> ChannelMoments:
 def distribution_from_moments(
     moments: ChannelMoments, couplings, lam_alice: float, detectors=None
 ) -> OutcomeDistribution:
-    """Exact outcome distribution for arbitrary receiver count.
+    """Exact outcome distribution for any receiver count within the budget.
 
     Detector i's sign pair (s_i, s'_i) enters only through
     c_i = lam_i (s_i - s'_i), and its outcome factor s_i s'_i is -1 exactly
@@ -175,6 +181,7 @@ def distribution_from_moments(
     """
     lam = np.asarray(couplings, dtype=float)
     n = len(lam)
+    _check_receiver_count(n)
     V = np.asarray(moments.noise_cov, dtype=float)
     m = np.asarray(moments.signal_im, dtype=float)
     if V.shape != (n, n) or m.shape != (n,):
@@ -205,7 +212,7 @@ def joint_distribution(
     moments: ChannelMoments | None = None,
     tol: float = 1e-10,
 ) -> OutcomeDistribution:
-    """Outcome distribution of the three receivers given the sent bit."""
+    """Outcome distribution of the receivers given the sent bit."""
     if bit not in (0, 1):
         raise ConfigurationError("bit must be 0 or 1")
     if moments is None:
@@ -303,9 +310,6 @@ class CapacityResult:
     search_tol: float
     moment_error_bound: float
 
-    def as_row(self) -> tuple[float, ...]:
-        return tuple(self.capacities[subset_label(s)] for s in SUBSET_ORDER)
-
 
 def capacity_table(
     sc: ChannelScenario,
@@ -313,13 +317,14 @@ def capacity_table(
     tol: float = 1e-10,
     search_tol: float = 1e-10,
 ) -> CapacityResult:
-    """Joint distributions for both bits, then capacity per subset."""
+    """Joint distributions for both bits, then capacity per subset, in
+    `receiver_subsets` order."""
     moments = scenario_moments(sc, tol)
     p0 = joint_distribution(sc, 0, moments)
     p1 = joint_distribution(sc, 1, moments)
     caps: dict[str, float] = {}
     priors: dict[str, float] = {}
-    for subset in SUBSET_ORDER:
+    for subset in receiver_subsets(len(sc.bobs)):
         m0 = marginalize(p0, subset)
         m1 = marginalize(p1, subset)
         c, q = capacity(m0, m1, base, search_tol)

@@ -21,12 +21,7 @@ import sys
 
 import numpy as np
 
-from .channel import (
-    capacity_table,
-    make_channel_scenario,
-    subset_label,
-    SUBSET_ORDER,
-)
+from .channel import capacity_table, make_channel_scenario
 from .errors import ConfigurationError, NumericConsistencyError, QuadratureError
 from .qic import Generator, GridAxis, GridSpec, build_qic, weighting_grid
 from .scenarios import PRESETS, preset, _serialize_generator
@@ -210,20 +205,16 @@ def cmd_capacity(args) -> int:
             "geometry": list(scenario.geometry),
         },
         "capacities": {
-            subset_label(s): {
-                "capacity": result.capacities[subset_label(s)],
-                "optimal_prior": result.priors[subset_label(s)],
-            }
-            for s in SUBSET_ORDER
+            label: {"capacity": c, "optimal_prior": result.priors[label]}
+            for label, c in result.capacities.items()
         },
     }
     out = _setting(args, cfg, "out", f"capacity_d{dim}.json")
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for s in SUBSET_ORDER:
-        label = subset_label(s)
-        print(f"C_{label} = {_fmt(result.capacities[label])} (q* = {result.priors[label]:.6f})")
+    for label, c in result.capacities.items():
+        print(f"C_{label} = {_fmt(c)} (q* = {result.priors[label]:.6f})")
     print(f"wrote {out}")
     return 0
 

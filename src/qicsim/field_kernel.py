@@ -75,9 +75,6 @@ class PairingMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    def max_error(self) -> float:
-        return float(self.errors.max()) if self.errors.size else 0.0
-
 
 def _measure(d: int, k: np.ndarray) -> np.ndarray:
     if d == 3:
@@ -389,14 +386,12 @@ def pairing(gen_i, gen_j, d: int, tol: float = 1e-10) -> complex:
 
 
 def pairing_damped(gen_i, gen_j, d: int) -> tuple[complex, float]:
-    """Independent damped-tail evaluation of the pairing (cross-check path)."""
+    """Independent damped-tail evaluation of the pairing (cross-check path),
+    one path for every profile kind."""
     si, sj = gen_i.smearing, gen_j.smearing
     if {si.dimension, sj.dimension} != {d}:
         raise ConfigurationError(f"smearing dimensions {[si.dimension, sj.dimension]} != {d}")
     dx, tau = _pair_geometry(gen_i, gen_j)
-    if GAUSSIAN in (si.kind, sj.kind):
-        # absolutely convergent already; a single plain evaluation suffices
-        return radial_integral(d, dx, tau, (si, sj), tol=1e-12)
     integrand = _radial_integrand(d, dx, tau, (si, sj))
     omega = abs(tau) + dx + sum(ft_frequencies(si)) + sum(ft_frequencies(sj))
     return damped_tail_integral(integrand, omega)

@@ -60,14 +60,6 @@ class ExtendedGram:
     def size(self) -> int:
         return self.metric.shape[0]
 
-    def second_moment(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Re <A B> for coefficient vectors u, v."""
-        return float(u @ self.metric @ v)
-
-    def commutator_over_i(self, u: np.ndarray, v: np.ndarray) -> float:
-        """(1/i) <[A, B]> for coefficient vectors u, v."""
-        return float(u @ self.symplectic @ v)
-
     def apply_f(self, u: np.ndarray) -> np.ndarray:
         """Coefficient vector of f(A): (q, p) -> (-p, q)."""
         k = self.size // 2

@@ -35,26 +35,30 @@ def brute_force_distribution(noise_cov, signal_im, couplings, lam_alice,
         gaps = [0.7 + 0.3 * i for i in range(n)]
     units = [np.diag([1.0, cmath.exp(1j * gaps[i] * t_dec)]) for i in range(n)]
 
-    out = {}
     signs = (1, -1)
-    for z in itertools.product((0, 1), repeat=n):
-        total = 0.0 + 0.0j
-        for s_a in signs:
-            for s in itertools.product(signs, repeat=n):
-                for sp in itertools.product(signs, repeat=n):
+    # detector i's amplitude <g|s> <s|U|z> <z|U^dag|s'> <s'|g> for each (s, z, s')
+    amps = [
+        {
+            (s, z, sp): np.vdot(_G, _SVEC[s])
+            * np.vdot(_SVEC[s], U @ _ZVEC[z])
+            * np.vdot(_ZVEC[z], U.conj().T @ _SVEC[sp])
+            * np.vdot(_SVEC[sp], _G)
+            for s in signs for z in (0, 1) for sp in signs
+        }
+        for U in units
+    ]
+    totals = {z: 0.0 + 0.0j for z in itertools.product((0, 1), repeat=n)}
+    for s_a in signs:
+        for s in itertools.product(signs, repeat=n):
+            for sp in itertools.product(signs, repeat=n):
+                c = lam * (np.array(s, dtype=float) - np.array(sp, dtype=float))
+                decoh = math.exp(-0.5 * float(c @ V @ c))
+                phase = cmath.exp(2j * lam_alice * s_a * float(c @ m))
+                for z in totals:
                     qubit = 1.0 + 0.0j
                     for i in range(n):
-                        U = units[i]
-                        qubit *= (
-                            np.vdot(_G, _SVEC[s[i]])
-                            * np.vdot(_SVEC[s[i]], U @ _ZVEC[z[i]])
-                            * np.vdot(_ZVEC[z[i]], U.conj().T @ _SVEC[sp[i]])
-                            * np.vdot(_SVEC[sp[i]], _G)
-                        )
-                    c = lam * (np.array(s, dtype=float) - np.array(sp, dtype=float))
-                    decoh = math.exp(-0.5 * float(c @ V @ c))
-                    phase = cmath.exp(2j * lam_alice * s_a * float(c @ m))
-                    total += 0.5 * qubit * decoh * phase
+                        qubit *= amps[i][s[i], z[i], sp[i]]
+                    totals[z] += 0.5 * qubit * decoh * phase
+    for total in totals.values():
         assert abs(total.imag) < 1e-14
-        out[z] = total.real
-    return out
+    return {z: total.real for z, total in totals.items()}

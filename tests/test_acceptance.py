@@ -6,7 +6,7 @@ import math
 import numpy as np
 from _twin import brute_force_distribution
 
-from qicsim.channel import SUBSET_ORDER, joint_distribution, subset_label
+from qicsim.channel import joint_distribution, receiver_subsets, subset_label
 from qicsim.field_kernel import ModeProfileEvaluator, pairing
 from qicsim.qic import GridAxis, GridSpec, build_qic, weighting_grid
 from qicsim.scenarios import shockwave_scenario, single_qic_scenario
@@ -34,7 +34,7 @@ def _report(num: int, title: str, ok: bool, detail: str = "") -> None:
 def _check_row(result, d):
     refs = TABLE1[d]
     worst = 0.0
-    for subset, ref in zip(SUBSET_ORDER, refs):
+    for subset, ref in zip(receiver_subsets(3), refs):
         got = result.capacities[subset_label(subset)]
         if ref == 0.0:
             ok_entry = got <= ZERO_TOL

@@ -20,8 +20,8 @@ from qicsim.channel import (
     marginalize,
     scenario_moments,
     mutual_information,
+    receiver_subsets,
     subset_label,
-    SUBSET_ORDER,
 )
 import qicsim.channel as channel
 from qicsim.errors import ConfigurationError, NumericConsistencyError, QuadratureError
@@ -39,9 +39,7 @@ class TestJointDistribution:
         other_alice = Generator(
             RadialSmearing.gaussian(0.3, (0.5, 0.0, 0.0), 3), 0.0, coupling=1.0
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sc2 = make_channel_scenario(other_alice, table1_3.bobs, 3)
+        sc2 = make_channel_scenario(other_alice, table1_3.bobs, 3)
         p_a = joint_distribution(table1_3, 0)
         p_b = joint_distribution(sc2, 0)
         assert np.array_equal(p_a.probs, p_b.probs)
@@ -70,13 +68,13 @@ class TestJointDistribution:
 
     def test_matches_brute_force_random_moments(self):
         rng = np.random.default_rng(51)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4, 5):
             A = rng.normal(size=(n, n))
             V = A @ A.T + 0.2 * np.eye(n)
             m = rng.normal(size=n)
             lams = rng.uniform(0.05, 0.4, size=n)
             moments = ChannelMoments(noise_cov=V, signal_im=m, error_bound=0.0)
-            for lam_a in (0.0, 0.7):
+            for lam_a in (0.0, 0.7) if n < 5 else (0.7,):
                 ours = distribution_from_moments(moments, lams, lam_a)
                 twin = brute_force_distribution(V, m, lams, lam_a,
                                                 gaps=list(rng.uniform(0, 4, size=n)))
@@ -297,19 +295,40 @@ class TestCapacityTable:
         res = capacity_table(silent, base=2)
         assert all(v == 0.0 for v in res.capacities.values())
 
-    @pytest.mark.parametrize("dim", (3, 2))
-    def test_subset_monotonicity(self, dim, captable_3, captable_2):
-        res = captable_3 if dim == 3 else captable_2
-        caps = {frozenset(s): res.capacities[subset_label(s)] for s in SUBSET_ORDER}
+    @pytest.mark.parametrize("table", ("captable_3", "captable_2", "captable_four_2"),
+                             ids=("3", "2", "four-d2"))
+    def test_subset_monotonicity(self, table, request):
+        # adding a receiver never lowers a capacity (data processing)
+        res = request.getfixturevalue(table)
+        n = len(res.capacities).bit_length()  # 2^n - 1 subsets
+        caps = {frozenset(s): res.capacities[subset_label(s)] for s in receiver_subsets(n)}
         for small in caps:
             for big in caps:
                 if small < big:
                     assert caps[small] <= caps[big] + 1e-12
 
-    def test_row_accessor_order(self, captable_3):
-        row = captable_3.as_row()
-        assert row[1] == captable_3.capacities["B2"]
-        assert row[6] == captable_3.capacities["B1B2B3"]
+    def test_capacities_follow_receiver_subsets_order(self, captable_3):
+        assert list(captable_3.capacities) == ["B1", "B2", "B3", "B1B2", "B2B3", "B1B3", "B1B2B3"]
+        assert receiver_subsets(3) == [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (0, 1, 2)]
+        assert [len(receiver_subsets(n)) for n in (1, 2, 4)] == [1, 3, 15]
+
+
+@pytest.fixture(scope="module")
+def captable_four_2(table1_2):
+    """Table1 in d=2 plus a second outside shell 4.1-5.0 as receiver B4."""
+    bobs = table1_2.bobs + (shell_gen(2, 4.1, 5.0, 2.0),)
+    return capacity_table(make_channel_scenario(table1_2.alice, bobs, 2), base=2)
+
+
+class TestFourReceivers:
+    def test_second_outside_receiver_raises_capacity(self, captable_four_2):
+        caps = captable_four_2.capacities
+        assert caps["B2B3B4"] > caps["B2B3"]
+        assert caps["B4"] <= 1e-15  # outside the cone: it signals nothing alone
+
+    def test_three_receiver_subsets_match_table1(self, captable_four_2, captable_2):
+        for label, c in captable_2.capacities.items():
+            assert abs(captable_four_2.capacities[label] - c) <= 1e-15, label
 
 
 class TestScenarioConstruction:
@@ -318,9 +337,21 @@ class TestScenarioConstruction:
         with pytest.raises(ConfigurationError):
             make_channel_scenario(table1_3.alice, bobs, 3)
 
-    def test_exactly_three_receivers(self, table1_3):
-        with pytest.raises(ConfigurationError):
-            make_channel_scenario(table1_3.alice, table1_3.bobs[:2], 3)
+    def test_no_receivers_rejected(self, table1_3):
+        with pytest.raises(ConfigurationError, match="no receiver"):
+            make_channel_scenario(table1_3.alice, (), 3)
+
+    def test_receivers_over_budget_refused_before_any_pairing(self, table1_3, monkeypatch):
+        calls = []
+        monkeypatch.setattr(channel, "pairing_detail", lambda *a: calls.append(a))
+        with pytest.raises(ConfigurationError, match="^9 receivers: the 2\\^9 x 3\\^9 sign table"):
+            make_channel_scenario(table1_3.alice, table1_3.bobs * 3, 3)
+        assert calls == []
+        with pytest.raises(ConfigurationError, match="^9 receivers"):
+            distribution_from_moments(ChannelMoments(np.eye(9), np.zeros(9), 0.0), [0.2] * 9, 1.0)
+        # eight receivers fit the budget
+        p = distribution_from_moments(ChannelMoments(np.eye(8), np.zeros(8), 0.0), [0.2] * 8, 1.0)
+        assert p.probs.shape == (2,) * 8
 
     def test_shared_decoding_time(self, table1_3):
         bobs = list(table1_3.bobs)
@@ -328,9 +359,10 @@ class TestScenarioConstruction:
         with pytest.raises(ConfigurationError):
             make_channel_scenario(table1_3.alice, bobs, 3)
 
-    def test_misplaced_geometry_warns(self, table1_3):
+    def test_shuffled_geometry_keeps_labels_without_warning(self, table1_3):
         shuffled = (table1_3.bobs[1], table1_3.bobs[0], table1_3.bobs[2])
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sc = make_channel_scenario(table1_3.alice, shuffled, 3)
         assert sc.geometry == ("straddling", "inside", "outside")
 

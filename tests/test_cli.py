@@ -93,6 +93,25 @@ class TestCapacityCommand:
         report = json.loads((tmp_path / "inline.json").read_text())
         assert abs(report["capacities"]["B2"]["capacity"] - TABLE1_D3[1]) <= 5e-3 * TABLE1_D3[1]
 
+    def test_four_receivers_print_every_subset(self, tmp_path, capsys):
+        shells = ((0.0, 0.9), (1.1, 2.9), (3.1, 4.0), (4.1, 5.0))
+        bobs = [{"kind": "hard_shell", "r_inner": r, "r_outer": rr, "center": [0, 0, 0],
+                 "t": 2.0, "coupling": 0.2} for r, rr in shells]
+        alice = {"kind": "hard_shell", "r_inner": 0.0, "r_outer": 1.0, "center": [0, 0, 0],
+                 "t": 0.0, "coupling": 1.0}
+        cfg_path = tmp_path / "four.json"
+        cfg_path.write_text(json.dumps({"dimension": 3, "scenario": {"alice": alice, "bobs": bobs}}))
+        out = tmp_path / "four_out.json"
+        assert main(["capacity", "--config", str(cfg_path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        labels = ["B1", "B2", "B3", "B4", "B1B2", "B2B3", "B3B4", "B1B3", "B2B4", "B1B4",
+                  "B1B2B3", "B2B3B4", "B1B2B4", "B1B3B4", "B1B2B3B4"]
+        assert [line.split(" = ")[0] for line in lines[:-1]] == [f"C_{s}" for s in labels]
+        assert lines[-1] == f"wrote {out}"
+        report = json.loads(out.read_text())
+        assert sorted(report["capacities"]) == sorted(labels)
+        assert report["scenario"]["geometry"] == ["inside", "straddling", "outside", "outside"]
+
     def test_non_finite_time_rejected(self, tmp_path, capsys):
         shells = ((0.0, 1.0), (0.0, 0.9), (1.1, 2.9), (3.1, 4.0))
         alice, *bobs = ({"kind": "hard_shell", "r_inner": r, "r_outer": rr,
@@ -260,6 +279,9 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
     (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "center": 5}]}}, "'center'"),
     (["capacity"], {"scenario": {"alice": 3, "bobs": [_SHELL] * 3}}, "'alice'"),
     (["capacity"], {"scenario": {"alice": _SHELL, "bobs": 5}}, "'bobs'"),
+    (["capacity"], {"scenario": {"alice": _SHELL, "bobs": []}}, "no receiver detectors"),
+    (["capacity"], {"scenario": {"alice": _SHELL, "bobs": [_SHELL] * 9}},
+     "9 receivers: the 2^9 x 3^9 sign table exceeds"),
     (_EVOLVE, {"scenario": {"generators": 5}}, "'generators'"),
     (_EVOLVE, {"scenario": {"generators": [5]}}, "'generators'"),
     (["evolve", "--preset", "single", "--t", "1"], {"grid": 5}, "'grid'"),
@@ -287,7 +309,8 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
      {"scenario": {"generators": [{**_GAUSS, "t": -1e308}]}},
      "mode function at t=1e+308, coupling_time=-1e+308: the time difference overflows"),
 ], ids=["grid-value", "grid-inf", "config-json", "no-alice", "no-r-outer", "sigma-text",
-        "center-number", "alice-number", "bobs-number", "generators-number",
+        "center-number", "alice-number", "bobs-number", "bobs-empty", "bobs-over-budget",
+        "generators-number",
         "generator-number", "grid-number", "out-number", "dimension-fraction",
         "threads-fraction", "t-boolean", "coupling-boolean", "dimension-inf", "threads-inf",
         "search-tol-zero", "search-tol-negative", "search-tol-nan", "tol-zero", "tol-negative",

@@ -3,8 +3,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qicsim.errors import ConfigurationError, NumericConsistencyError
+from qicsim.errors import ConfigurationError, NumericConsistencyError, QuadratureError
 from qicsim.field_kernel import PairingMatrix, pairing, pairing_matrix
 from qicsim.qic import (
     MAX_GRID_VALUES,
@@ -46,7 +48,7 @@ class TestExtendedGram:
         e0 = np.array([1.0, 0.0])
         f0 = gram.apply_f(e0)
         # (1/i) <[O, f(O)]> = 2 <O^2>
-        assert gram.commutator_over_i(e0, f0) == pytest.approx(
+        assert e0 @ gram.symplectic @ f0 == pytest.approx(
             2.0 * pm.entries[0, 0].real, rel=1e-12
         )
 
@@ -64,8 +66,8 @@ class TestExtendedGram:
         rng = np.random.default_rng(3)
         for _ in range(10):
             u, v = rng.normal(size=(2, 2 * len(gens)))
-            assert gram.commutator_over_i(gram.apply_f(u), gram.apply_f(v)) == pytest.approx(
-                gram.commutator_over_i(u, v), rel=1e-12, abs=1e-12
+            assert gram.apply_f(u) @ gram.symplectic @ gram.apply_f(v) == pytest.approx(
+                u @ gram.symplectic @ v, rel=1e-12, abs=1e-12
             )
 
     def test_metric_is_half_f_of_symplectic(self):
@@ -129,8 +131,8 @@ class TestBuildQic:
         basis = [v for m in range(n) for v in (modes.q_coeffs[m], modes.p_coeffs[m])]
         for a, u in enumerate(basis):
             for b, v in enumerate(basis):
-                assert symp[a, b] == pytest.approx(modes.gram.commutator_over_i(u, v), abs=1e-14)
-                assert cov[a, b] == pytest.approx(modes.gram.second_moment(u, v), abs=1e-14)
+                assert symp[a, b] == pytest.approx(u @ modes.gram.symplectic @ v, abs=1e-14)
+                assert cov[a, b] == pytest.approx(u @ modes.gram.metric @ v, abs=1e-14)
 
     def test_random_generator_sets_standard_form(self):
         for seed, d in ((5, 3), (6, 2)):
@@ -164,8 +166,8 @@ class TestBuildQic:
                 (modes.q_coeffs[m], modes_scaled.q_coeffs[m]),
                 (modes.p_coeffs[m], modes_scaled.p_coeffs[m]),
             ):
-                a = modes.gram.commutator_over_i(vec, probe)
-                b = modes_scaled.gram.commutator_over_i(vec_s, probe_scaled)
+                a = vec @ modes.gram.symplectic @ probe
+                b = vec_s @ modes_scaled.gram.symplectic @ probe_scaled
                 assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
     def test_recursion_is_lower_triangular(self):
@@ -379,3 +381,44 @@ class TestWeightingGrid:
         # one point past the budget of points x generators (three here)
         with pytest.raises(ConfigurationError, match="1398102 points x 3 generators exceeds"):
             weighting_grid(modes, 0, 8.0, line_spec(3, 0.0, MAX_GRID_VALUES // 3, 1.0))
+
+
+@st.composite
+def grid_cases(draw, d):
+    """1-3 compact generators of either kind (width <= 1.5, centre within 1
+    of the origin, |t| <= 1) and a grid of at most 200 points, at most 8 per
+    axis (a d=2 hard shell costs ~5-18 ms per distinct radius)."""
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        center = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(d))
+        t, scale = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.2, 1.5))
+        if draw(st.booleans()):
+            s = RadialSmearing.gaussian(scale, center, d)
+        else:
+            s = RadialSmearing.hard_shell(draw(st.floats(0.0, 0.9)) * scale, scale, center, d)
+        gens.append(Generator(s, coupling_time=t))
+    axes, budget = [], 200
+    for _ in range(d):
+        if draw(st.booleans()) or not axes:
+            n, start = draw(st.integers(1, min(budget, 8))), draw(st.floats(-3.0, 3.0))
+            step = draw(st.floats(0.05, 1.0))
+            axes.append(GridAxis(start, start + (n - 1) * step, step))
+            budget //= n
+        else:
+            axes.append(draw(st.floats(-3.0, 3.0)))
+    return gens, GridSpec(axes=tuple(axes))
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_weighting_grid_is_finite_or_typed_error(d, data):
+    gens, spec = data.draw(grid_cases(d))
+    t, threads = data.draw(st.floats(-2.0, 6.0)), data.draw(st.sampled_from((1, 2)))
+    try:
+        fg = weighting_grid(build_qic(gens, d), None, t, spec, threads=threads)
+    except (ConfigurationError, QuadratureError):
+        return
+    for arr in (fg.q_field, fg.q_momentum, fg.p_field, fg.p_momentum):
+        assert arr.shape == (len(fg.mode_indices),) + spec.shape
+        assert np.isfinite(arr).all()
