@@ -274,7 +274,8 @@ def mutual_information(q: float, p0, p1, base=2) -> float:
 def capacity(p0, p1, base=2, tol: float = 1e-10) -> tuple[float, float]:
     """Maximise I(A;B) over the prior; I is concave in q, so golden-section
     search converges.  The search ends when the bracket is within ``tol`` or
-    stops shrinking (at rounding level).  Returns (capacity, maximising prior)."""
+    stops shrinking (at rounding level).  Returns (capacity, maximising prior),
+    the prior 0.5 where the capacity is 0."""
     a0 = np.asarray(p0.probs if isinstance(p0, OutcomeDistribution) else p0).ravel()
     a1 = np.asarray(p1.probs if isinstance(p1, OutcomeDistribution) else p1).ravel()
     if np.array_equal(a0, a1):
@@ -297,7 +298,10 @@ def capacity(p0, p1, base=2, tol: float = 1e-10) -> tuple[float, float]:
             d = a + invphi * (b - a)
             fd = f(d)
     q_star = 0.5 * (a + b)
-    return max(f(q_star), 0.0), q_star
+    c = f(q_star)
+    if c <= 0.0:  # the search followed rounding noise
+        return 0.0, 0.5
+    return c, q_star
 
 
 @dataclass(frozen=True)

@@ -487,6 +487,33 @@ def _gaussian_mode_closed(sigma: float, T, dx, amplitude: float = 1.0):
     return amplitude * I, amplitude * dI
 
 
+def _barycentric(points: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomial through ``values`` (rows of complex columns) at the
+    Chebyshev points of the second kind ``points``, at radii x: sum_i l_i f_i
+    / (x - x_i) over sum_i l_i / (x - x_i), l_i = (-1)^i halved at both ends
+    (Berrut & Trefethen, SIAM Review 46, 2004).  One `np.einsum` per block of
+    at most 4e6 terms gives each row the same bits at any block height; a
+    radius on a point takes its value."""
+    lam = np.where(np.arange(len(points)) % 2, -1.0, 1.0)
+    lam[[0, -1]] *= 0.5
+    table = np.ones((2 * values.shape[1] + 1, len(points)))  # C order: one dot product per entry
+    table[:-1] = values.view(float).T
+    out = np.empty((len(x), values.shape[1]), dtype=complex)
+    chunk = max(1, int(4e6 // len(points)))
+    for i0 in range(0, len(x), chunk):
+        r = x[i0 : i0 + chunk]
+        col = np.searchsorted(points, r).clip(max=len(points) - 1)  # the point at or above
+        row = np.flatnonzero(points[col] == r)
+        col = col[row]
+        diff = r[:, None] - points
+        diff[row, col] = 1.0
+        sums = np.einsum("ij,kj->ik", np.divide(lam, diff, out=diff), table)
+        block = (sums[:, :-1] / sums[:, -1:]).view(complex)
+        block[row] = values[col]
+        out[i0 : i0 + chunk] = block
+    return out
+
+
 class ModeProfileEvaluator:
     """Evaluates I(t, .) and dI/dt(t, .) for one generator on many radii.
 
@@ -499,6 +526,13 @@ class ModeProfileEvaluator:
     independent of how callers chunk the radii -- grid evaluations stay
     bit-identical under any threading.
 
+    The node set's sum, of J0(k r) with k up to its largest node, is
+    interpolated from a Chebyshev table on [0, dx_max] (`_chebyshev_table`)
+    where that costs less: ``distinct`` K > (2n - 1)(K + ``distinct``) for K
+    nodes, ``distinct`` radii to come and 2n - 1 points.  A radius outside
+    [0, dx_max] then raises `ConfigurationError`.  ``rows(fn, r)`` computes
+    the table's rows (`qic.weighting_grid` splits them over its pool).
+
     Hard shells go through `radial_integral` radius by radius, on the terms
     of `_expansion`.  In d=3 its scale is the sum of |terms| at r = 0 for
     the same generator, time and quantity (a scale that does not vanish
@@ -508,7 +542,8 @@ class ModeProfileEvaluator:
     does a radius too close to a centre on such an edge (`_tail`).
     """
 
-    def __init__(self, gen, t: float, d: int, dx_max: float, tol: float = 1e-10):
+    def __init__(self, gen, t: float, d: int, dx_max: float, tol: float = 1e-10,
+                 distinct: int = 1, rows=lambda fn, r: fn(r)):
         self.gen = gen
         self.t = float(t)
         self.d = int(d)
@@ -523,10 +558,45 @@ class ModeProfileEvaluator:
         if _finite_part_applies(d, (s,)):
             self._shell_scale = tuple(_finite_part(_expansion(3, 0.0, tau, (s,), der, math.inf, 0))[1]
                                       for der in (False, True))
-        radii = np.array([0.0, dx_max])
-        with naming(where):
-            self._nodes = (_certified_nodes(2, tau, (s,), radii, tol, (False, True))[0]
-                           if s.kind == GAUSSIAN and d == 2 else None)
+        self._nodes = self._table = None
+        if s.kind == GAUSSIAN and d == 2:
+            with naming(where):
+                self._nodes, _, estimate = _certified_nodes(2, tau, (s,), np.array([0.0, dx_max]),
+                                                            tol, (False, True))
+            self._table = self._chebyshev_table(dx_max, distinct, rows, estimate)
+
+    def _chebyshev_table(self, dx_max: float, distinct: int, rows, estimate):
+        """(points, values) of I and dI/dt at 2n - 1 Chebyshev points of the
+        second kind on [0, dx_max], or None where the direct sums cost less.
+        n starts at the smallest 2^j + 1 >= k_K dx_max / 2 and doubles to
+        2n - 1 until the n-point interpolant meets the other n - 1 values
+        within tol sum|w f| less the node set's ``estimate``; the points are
+        nested (bit for bit: n - 1 is a power of two), so every value is reused."""
+        k, weights = self._nodes
+        room = self.tol * np.abs(weights.view(complex)).sum(axis=0) - estimate
+        n, values = 2, None
+        while n < 0.5 * k[-1] * dx_max:
+            n = 2 * n - 1
+        while dx_max > 0.0 and distinct * len(k) > (2 * n - 1) * (len(k) + distinct):
+            points = dx_max * np.sin(np.arange(2 * n - 1) * (0.25 * math.pi / (n - 1))) ** 2
+            if values is None:
+                values = rows(self._direct, points[::2])
+            table = np.empty((2 * n - 1, 2), dtype=complex)
+            table[::2], table[1::2] = values, rows(self._direct, points[1::2])
+            miss = np.abs(_barycentric(points[::2], values, points[1::2]) - table[1::2])
+            if np.all(miss.max(axis=0) <= room):
+                return points, table
+            n, values = 2 * n - 1, table
+        return None
+
+    def _direct(self, u: np.ndarray) -> np.ndarray:
+        """The node set's sums of I and dI/dt at radii u, in blocks of <= 4e6 J0 values."""
+        k, weights = self._nodes
+        chunk = max(1, int(4e6 // len(k)))
+        sums = np.empty((len(u), 2), dtype=complex)
+        for i0 in range(0, len(u), chunk):
+            sums[i0 : i0 + chunk] = _kernel_sums(2, u[i0 : i0 + chunk], k, weights)
+        return sums
 
     def evaluate(self, dx) -> tuple[np.ndarray, np.ndarray]:
         """I and dI/dt at the radii ``dx`` (any shape), evaluated once per
@@ -541,12 +611,16 @@ class ModeProfileEvaluator:
         if self._gaussian_closed:
             T = gen.coupling_time - self.t
             return _gaussian_mode_closed(gen.smearing.sigma, T, u, gen.smearing.amplitude)
+        if self._table is not None:
+            points, values = self._table
+            bad = u[~((u >= 0.0) & (u <= points[-1]))]
+            if len(bad):
+                raise ConfigurationError(f"I at r={bad[0]}, t={self.t}, coupling_time={gen.coupling_time}"
+                                         f": outside [0, {points[-1]}], the interpolated range")
+            sums = _barycentric(points, values, u)
+            return sums[:, 0], sums[:, 1]
         if self._nodes is not None:
-            k, weights = self._nodes
-            chunk = max(1, int(4e6 // len(k)))
-            sums = np.empty((len(u), 2), dtype=complex)
-            for i0 in range(0, len(u), chunk):
-                sums[i0 : i0 + chunk] = _kernel_sums(2, u[i0 : i0 + chunk], k, weights)
+            sums = self._direct(u)
             return sums[:, 0], sums[:, 1]
         I = np.empty(u.shape, dtype=complex)
         dI = np.empty(u.shape, dtype=complex)

@@ -311,8 +311,10 @@ def weighting_grid(
     Each generator's distinct radii are sorted and split into 4 * ``threads``
     chunks for a pool of ``threads`` workers (capped at this process's
     CPUs), the same way at every thread count; equal radii share a chunk, so
-    each distinct radius is evaluated once and shared across modes.  The field
-    components come from the exact time-derivative integral.
+    each distinct radius is evaluated once and shared across modes.  The
+    evaluator chooses its path from the distinct-radius count and builds any
+    table's rows in the same pool.  The field components come from the exact
+    time-derivative integral.
     """
     from concurrent.futures import ThreadPoolExecutor  # looked up per call, so it can be patched
 
@@ -343,11 +345,16 @@ def weighting_grid(
     k = len(modes.generators)
     v1, v2, u1, u2 = np.empty((4, k, len(pts)))
     with ThreadPoolExecutor(max_workers=threads) as pool:
+        def rows(fn, r):  # an evaluator's table rows, split over the pool like the radii
+            futures = [pool.submit(fn, part) for part in np.array_split(r, 4 * threads)]
+            return np.concatenate([fut.result() for fut in futures])
+
         for j, gen in enumerate(modes.generators):
             dx = np.linalg.norm(pts - np.asarray(gen.smearing.center), axis=1)
-            ev = ModeProfileEvaluator(gen, t, d, float(dx.max()), tol=tol)
             order = np.argsort(dx, kind="stable")
             starts = np.flatnonzero(np.diff(dx[order], prepend=-1.0))  # where each radius begins
+            ev = ModeProfileEvaluator(gen, t, d, float(dx.max()), tol=tol, distinct=len(starts),
+                                      rows=rows)
             cuts = [part[0] for part in np.array_split(starts, 4 * threads)[1:] if len(part)]
             chunks = np.split(order, cuts)
             futures = [(c, pool.submit(ev.evaluate, dx[c])) for c in chunks]

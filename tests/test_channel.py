@@ -307,6 +307,14 @@ class TestCapacityTable:
                 if small < big:
                     assert caps[small] <= caps[big] + 1e-12
 
+    def test_zero_capacity_reports_prior_one_half(self, captable_2):
+        # d=2 table1: the outside receiver's two marginals differ only by
+        # rounding, so the search maximum clamps to 0; the prior it wandered
+        # to (0.875495 before) carries no information
+        assert captable_2.capacities["B3"] == 0.0
+        assert captable_2.priors["B3"] == 0.5
+        assert all(q != 0.5 for label, q in captable_2.priors.items() if label != "B3")
+
     def test_capacities_follow_receiver_subsets_order(self, captable_3):
         assert list(captable_3.capacities) == ["B1", "B2", "B3", "B1B2", "B2B3", "B1B3", "B1B2B3"]
         assert receiver_subsets(3) == [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (0, 1, 2)]

@@ -397,6 +397,80 @@ class TestSamplesAndEvaluators:
             assert iv == one[0] and div == one_dt[0]
 
 
+class TestChebyshevInterpolation:
+    """d=2 Gaussian mode functions interpolated in r from a Chebyshev table;
+    a declared count of 10^7 distinct radii selects that path."""
+
+    @pytest.mark.parametrize("sigma", (0.2, 1.0, 3.0))
+    def test_matches_the_direct_sums_within_tol(self, sigma):
+        # dx_max up to 16 covers the shockwave generators' grids
+        gen, tol = gen_gaussian(2, sigma=sigma), 1e-10
+        radii = np.random.default_rng(61).uniform(0.0, 16.0, size=200)
+        for t in (0.0, 2.0, 4.0, 8.0):
+            for dx_max in (6.0 * math.sqrt(2.0), 16.0):
+                r = np.concatenate([[0.0, dx_max], radii[radii < dx_max]])
+                ev = ModeProfileEvaluator(gen, t, 2, dx_max, tol=tol, distinct=10**7)
+                assert ev._table is not None
+                got = np.stack(ev.evaluate(r))
+                ref = np.stack(ModeProfileEvaluator(gen, t, 2, dx_max, tol=tol).evaluate(r))
+                scale = np.abs(ev._nodes[1].view(complex)).sum(axis=0)
+                assert np.all(np.abs(got - ref).max(axis=1) <= tol * scale), (t, dx_max)
+
+    def test_table_doubles_until_it_meets_tol(self):
+        # at tol 1e-14 the 33-point table that starts at n = 17 misses, the
+        # 65-point one is accepted
+        gen, tol, dx_max = gen_gaussian(2, sigma=3.0), 1e-14, 6.0 * math.sqrt(2.0)
+        ev = ModeProfileEvaluator(gen, 4.0, 2, dx_max, tol=tol, distinct=10**7)
+        k = ev._nodes[0]
+        assert 9 < 0.5 * k[-1] * dx_max <= 17 and len(ev._table[0]) == 65
+        assert len(ModeProfileEvaluator(gen, 4.0, 2, dx_max, distinct=10**7)._table[0]) == 33
+        r = np.random.default_rng(62).uniform(0.0, dx_max, size=100)
+        got = np.stack(ev.evaluate(r))
+        ref = np.stack(ModeProfileEvaluator(gen, 4.0, 2, dx_max, tol=tol).evaluate(r))
+        scale = np.abs(ev._nodes[1].view(complex)).sum(axis=0)
+        assert np.all(np.abs(got - ref).max(axis=1) <= tol * scale)
+
+    def test_path_follows_the_cost_rule(self):
+        # interpolate only where distinct K > (2n - 1)(K + distinct)
+        gen, dx_max = gen_gaussian(2), 6.0 * math.sqrt(2.0)
+        many = ModeProfileEvaluator(gen, 2.0, 2, dx_max, distinct=12000)
+        K, m = len(many._nodes[0]), len(many._table[0])
+        few = m * K // (K - m)  # the largest count the rule leaves direct
+        assert ModeProfileEvaluator(gen, 2.0, 2, dx_max, distinct=few)._table is None
+        assert ModeProfileEvaluator(gen, 2.0, 2, dx_max, distinct=few + 1)._table is not None
+        assert ModeProfileEvaluator(gen, 2.0, 2, dx_max, distinct=100)._table is None
+
+    def test_one_radius_or_zero_width_stays_direct(self):
+        gen = gen_gaussian(2)
+        assert ModeProfileEvaluator(gen, 2.0, 2, 8.0)._table is None
+        assert ModeProfileEvaluator(gen, 2.0, 2, 8.0, distinct=1)._table is None
+        ev = ModeProfileEvaluator(gen, 2.0, 2, 0.0, distinct=10**7)
+        assert ev._table is None
+        assert np.array_equal(np.stack(ev.evaluate([0.0])),
+                              np.stack(ModeProfileEvaluator(gen, 2.0, 2, 0.0).evaluate([0.0])))
+
+    @pytest.mark.parametrize("r", (8.5, -0.5, math.nan))
+    def test_radius_outside_the_table_is_typed_error(self, r):
+        ev = ModeProfileEvaluator(gen_gaussian(2), 2.0, 2, 8.0, distinct=10**7)
+        with pytest.raises(ConfigurationError, match=rf"^I at r={r}, t=2.0, .*outside \[0, 8.0\]"):
+            ev.evaluate([1.0, r])
+
+    def test_bitwise_chunk_independent(self):
+        # every block height, one row included, gives each radius the same
+        # bits; radii on table points (0, an inner one, dx_max) take its values
+        radii = np.random.default_rng(47).uniform(0.0, 12.0, size=50)
+        for gen in shockwave_scenario(2):
+            ev = ModeProfileEvaluator(gen, 8.0, 2, 12.0, distinct=10**7)
+            points, values = ev._table
+            r = np.concatenate([radii, points[[0, 7, -1]]])
+            whole = np.stack(ev.evaluate(r))
+            assert np.array_equal(whole[:, -3:], values[[0, 7, -1]].T)
+            alone = np.stack([np.concatenate(ev.evaluate([x])) for x in r], axis=1)
+            chunks = np.concatenate([np.stack(ev.evaluate(part))
+                                     for part in np.split(r, (3, 31))], axis=1)
+            assert np.array_equal(whole, alone) and np.array_equal(whole, chunks)
+
+
 def test_self_pairing_transforms_its_profile_once(monkeypatch):
     import qicsim.field_kernel as fk
 

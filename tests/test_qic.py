@@ -290,6 +290,35 @@ class TestWeightingGrid:
             for name in ("q_field", "q_momentum", "p_field", "p_momentum"):
                 assert np.array_equal(getattr(one, name), getattr(two, name))
 
+    def test_interpolated_grids_do_not_change_bytes(self, monkeypatch):
+        # off-lattice grids: one emitter on 41 x 41 points (a 513-point
+        # table) and the shockwave generators on 65 x 65 (1025, 513 and 1025
+        # points); the tables' rows are split over the pool
+        from qicsim.field_kernel import ModeProfileEvaluator
+
+        tables = []
+        init = ModeProfileEvaluator.__init__
+
+        def recorded(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            tables.append(None if self._table is None else len(self._table[0]))
+
+        monkeypatch.setattr(ModeProfileEvaluator, "__init__", recorded)
+        cases = [
+            (build_qic(single_qic_scenario(2), 2), 3.0,
+             GridSpec(axes=(GridAxis(-3.93, 4.07, 0.2), GridAxis(-4.11, 3.89, 0.2))), [513]),
+            (build_qic(shockwave_scenario(2), 2), 8.0,
+             GridSpec(axes=(GridAxis(0.1, 16.1, 0.25), GridAxis(-8.05, 7.95, 0.25))),
+             [1025, 513, 1025]),
+        ]
+        for modes, t, spec, want in cases:
+            tables.clear()
+            one = weighting_grid(modes, None, t, spec, threads=1)
+            two = weighting_grid(modes, None, t, spec, threads=2)
+            assert tables == want + want
+            for name in ("q_field", "q_momentum", "p_field", "p_momentum"):
+                assert np.array_equal(getattr(one, name), getattr(two, name))
+
     def test_each_distinct_radius_evaluated_once(self, monkeypatch):
         # 41 x 41 lattice around the emitter: 435 distinct radii, many shared
         # by 4 or 8 points; chunks cut at changes of radius never split a run
