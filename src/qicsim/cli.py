@@ -43,6 +43,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _fmt_rows(values: np.ndarray) -> list[str]:
+    """Each row of a 2-D array as comma-separated ``_fmt`` text."""
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"  # "%.17g" % x == _fmt(x)
+    return (row * len(values) % tuple(values.ravel().tolist())).splitlines()
+
+
 def _reject_unknown(obj: dict, allowed: set, context: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
@@ -274,28 +280,40 @@ def cmd_evolve(args, forced_preset: str | None = None) -> int:
 
 
 def _write_grid_csv(path: str, grid_data, sigma: float) -> None:
+    """One CSV row per grid point: the varying coordinates, then each mode's
+    four scaled weights, every float as ``%.17g``.
+
+    Each float is formatted once: each varying axis's values up front, and
+    each distinct weight row (by bit pattern, so -0.0 and 0.0 stay apart) at
+    its first use, since equal bits give equal text.  Lines are written one
+    block of ``_CSV_BLOCK_ROWS`` points at a time and a row's text is dropped
+    after its last use, so the text held at once is the axis values, one
+    block, and the distinct rows used both before and after that block.
+    """
     d = grid_data.dimension
     names = ("x", "y", "z")[:d]
-    varying = [n for n, a in zip(names, grid_data.spec.axes) if isinstance(a, GridAxis)]
-    fixed = [(n, a) for n, a in zip(names, grid_data.spec.axes) if not isinstance(a, GridAxis)]
+    spec = grid_data.spec
+    varying = [(n, a) for n, a in zip(names, spec.axes) if isinstance(a, GridAxis)]
+    fixed = [(n, a) for n, a in zip(names, spec.axes) if not isinstance(a, GridAxis)]
     s_field = sigma ** ((d + 1) / 2.0)
     s_mom = sigma ** ((d - 1) / 2.0)
     cols = []
     for m in grid_data.mode_indices:
         i = m + 1
         cols += [f"q_field_{i}", f"q_mom_{i}", f"p_field_{i}", f"p_mom_{i}"]
-    var_idx = [k for k, a in enumerate(grid_data.spec.axes) if isinstance(a, GridAxis)]
-    n_modes = len(grid_data.mode_indices)
-    columns = [grid_data.spec.points()[:, var_idx]]
-    for row in range(n_modes):
-        columns += [
-            s_field * grid_data.q_field[row].ravel(),
-            s_mom * grid_data.q_momentum[row].ravel(),
-            s_field * grid_data.p_field[row].ravel(),
-            s_mom * grid_data.p_momentum[row].ravel(),
-        ]
-    table = np.column_stack(columns)
-    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"  # "%.17g" % x == _fmt(x)
+    weights = (grid_data.q_field, grid_data.q_momentum, grid_data.p_field, grid_data.p_momentum)
+    table = np.empty((math.prod(spec.shape), len(cols)))
+    for j in range(len(cols)):
+        row, k = divmod(j, 4)
+        np.multiply((s_field, s_mom)[k % 2], weights[k][row].ravel(), out=table[:, j])
+    bits = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+    rows, first, ids = np.unique(bits, return_index=True, return_inverse=True)
+    del table, bits  # the distinct rows stand in for the table
+    rows = rows.view(np.float64).reshape(len(first), -1)
+    last = np.zeros(len(first), dtype=np.intp)
+    np.maximum.at(last, ids, np.arange(len(ids)))
+    axis_text = [np.array(_fmt_rows(a.values()[:, None]), dtype=object) for _, a in varying]
+    text = np.empty(len(first), dtype=object)  # a row's text from its first use to its last
     with open(path, "w") as fh:
         fh.write(f"# t = {_fmt(grid_data.t)}, dimension = {d}\n")
         for n, a in fixed:
@@ -308,11 +326,15 @@ def _write_grid_csv(path: str, grid_data, sigma: float) -> None:
             f"# dimensionless scaling: *_field columns carry sigma^((d+1)/2) = {_fmt(s_field)},\n"
             f"# *_mom columns carry sigma^((d-1)/2) = {_fmt(s_mom)} (sigma = {_fmt(sigma)})\n"
         )
-        fh.write("# " + ",".join(list(varying) + cols) + "\n")
-        # one formatting op per block of rows keeps the transient text small
-        for r0 in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[r0 : r0 + _CSV_BLOCK_ROWS]
-            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
+        fh.write("# " + ",".join([n for n, _ in varying] + cols) + "\n")
+        for r0 in range(0, len(ids), _CSV_BLOCK_ROWS):
+            block = ids[r0 : r0 + _CSV_BLOCK_ROWS]
+            pos = np.arange(r0, r0 + len(block))
+            new = block[first[block] == pos]
+            text[new] = _fmt_rows(rows[new])
+            coords = [t[i].tolist() for t, i in zip(axis_text, np.unravel_index(pos, spec.shape))]
+            fh.write("\n".join(map(",".join, zip(*coords, text[block].tolist()))) + "\n")
+            text[block[last[block] == pos]] = None
 
 
 def cmd_validate(args) -> int:

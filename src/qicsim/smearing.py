@@ -8,6 +8,7 @@ the center phase is applied downstream where pairs of profiles meet.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,8 +166,14 @@ def support_radius(s: RadialSmearing) -> float:
     return math.inf if s.kind == GAUSSIAN else s.r_outer
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle_gl(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's own Gauss-Legendre rule, apart from the production cache."""
+    return np.polynomial.legendre.leggauss(nodes)
+
+
 def _panel_gl(lo: float, hi: float, n_panels: int, nodes: int = 12):
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _oracle_gl(nodes)
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     pts = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x[None, :]

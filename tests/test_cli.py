@@ -1,7 +1,12 @@
 import json
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qicsim import cli
 from qicsim.cli import main
@@ -21,6 +26,110 @@ def read_grid_csv(path):
                 continue
             rows.append([float(v) for v in line.split(",")])
     return header.split(","), np.array(rows)
+
+
+_FIELDS = ("q_field", "q_momentum", "p_field", "p_momentum")
+
+
+def _scaled_table(fg, sigma):
+    """One row per grid point: each mode's four weights, scaled as in the CSV."""
+    d = fg.dimension
+    scales = (sigma ** ((d + 1) / 2.0), sigma ** ((d - 1) / 2.0)) * 2
+    return np.column_stack([scale * getattr(fg, name)[row].ravel()
+                            for row in range(len(fg.mode_indices))
+                            for name, scale in zip(_FIELDS, scales)])
+
+
+def per_value_csv(fg, sigma):
+    """The text `_write_grid_csv` must write, formatted one value at a time."""
+    d = fg.dimension
+    names = ("x", "y", "z")[:d]
+    varying = [k for k, a in enumerate(fg.spec.axes) if isinstance(a, GridAxis)]
+    s_field, s_mom = sigma ** ((d + 1) / 2.0), sigma ** ((d - 1) / 2.0)
+    cols = [f"{n}_{m + 1}" for m in fg.mode_indices for n in ("q_field", "q_mom", "p_field", "p_mom")]
+    lines = [f"# t = {fg.t:.17g}, dimension = {d}"]
+    lines += [f"# fixed axis {names[k]} = {a:.17g}"
+              for k, a in enumerate(fg.spec.axes) if k not in varying]
+    lines += [
+        "# q_* weight the field (q_field) and conjugate momentum (q_mom) in the",
+        "# first quadrature of each mode; p_* do the same for the second.",
+        f"# dimensionless scaling: *_field columns carry sigma^((d+1)/2) = {s_field:.17g},",
+        f"# *_mom columns carry sigma^((d-1)/2) = {s_mom:.17g} (sigma = {sigma:.17g})",
+        "# " + ",".join([names[k] for k in varying] + cols),
+    ]
+    pts = fg.spec.points()[:, varying]
+    table = _scaled_table(fg, sigma)
+    for r in range(len(pts)):
+        lines.append(",".join(f"{x:.17g}" for x in list(pts[r]) + list(table[r])))
+    return "\n".join(lines) + "\n"
+
+
+def _data_rows(text):
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+_AWKWARD = np.array([-0.0, 5e-324, 1e300, 0.1, 2.0, -1.0 / 3.0])
+
+
+def _field_grid(d, axes, n_modes, values):
+    """A FieldGrid whose four arrays are ``values(shape)`` each."""
+    spec = GridSpec(axes=tuple(axes))
+    shape = (n_modes,) + spec.shape
+    mode_indices = tuple(range(0, 2 * n_modes, 2))
+    return FieldGrid(d, 2.5, spec, mode_indices, *(values(shape) for _ in range(4)))
+
+
+def _awkward_case():
+    # awkward values, a fixed axis and more rows than one formatting block
+    rng = np.random.default_rng(5)
+    return _field_grid(3, (GridAxis(-1.0, 1.0, 0.025), GridAxis(0.0, 1.5, 0.025), 0.5), 2,
+                       lambda shape: rng.choice(_AWKWARD, size=shape))
+
+
+def _one_varying_case():
+    rng = np.random.default_rng(6)
+    return _field_grid(3, (0.5, GridAxis(-3.0, 3.0, 0.001), -0.25), 1,
+                       lambda shape: rng.choice(_AWKWARD, size=shape))
+
+
+def _three_varying_case():
+    rng = np.random.default_rng(7)
+    return _field_grid(3, (GridAxis(-1.0, 1.0, 0.1),) * 3, 2,
+                       lambda shape: rng.choice(_AWKWARD, size=shape))
+
+
+def _lattice_case():
+    # values depend on the exact squared radius about the centre point, so
+    # mirror points carry identical rows, many of them in different blocks
+    i, j = np.meshgrid(np.arange(-40, 41), np.arange(-40, 41), indexing="ij")
+    r2 = (i * i + j * j).astype(float)
+    phase = iter(np.linspace(0.1, 1.7, 8))
+    return _field_grid(2, (GridAxis(-4.0, 4.0, 0.1), GridAxis(-4.0, 4.0, 0.1)), 2,
+                       lambda shape: np.stack([np.cos(0.37 * r2 + next(phase))
+                                               for _ in range(shape[0])]))
+
+
+def _signed_zero_case():
+    # rows differ only by the sign of one zero: they must stay apart
+    fg = _field_grid(2, (GridAxis(0.0, 5.0, 0.001), 1.0), 1, np.zeros)
+    fg.q_momentum[0, ::3] = -0.0
+    return fg
+
+
+def _all_distinct_case():
+    rng = np.random.default_rng(8)
+    return _field_grid(2, (GridAxis(-2.0, 2.0, 0.05), GridAxis(-1.0, 1.0, 0.025)), 3,
+                       lambda shape: rng.standard_normal(shape))
+
+
+_CSV_CASES = {
+    "awkward": _awkward_case,
+    "one_varying": _one_varying_case,
+    "three_varying": _three_varying_case,
+    "lattice": _lattice_case,
+    "signed_zero": _signed_zero_case,
+    "all_distinct": _all_distinct_case,
+}
 
 
 class TestCapacityCommand:
@@ -201,42 +310,48 @@ class TestEvolveCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "dI/dt at r=0.0, t=1.25, coupling_time=0.0: diverges on a light-cone edge" in err
 
-    @pytest.mark.parametrize("sigma", (1.0, 0.3))
-    def test_csv_bytes_match_per_value_format(self, tmp_path, sigma):
-        # awkward values, a fixed axis and more rows than one formatting block
-        spec = GridSpec(axes=(GridAxis(-1.0, 1.0, 0.025), GridAxis(0.0, 1.5, 0.025), 0.5))
-        npts = int(np.prod(spec.shape))
-        assert npts > cli._CSV_BLOCK_ROWS
-        rng = np.random.default_rng(5)
-        awkward = np.array([-0.0, 5e-324, 1e300, 0.1, 2.0, -1.0 / 3.0])
-        fields = [rng.choice(awkward, size=(2,) + spec.shape) for _ in range(4)]
-        fg = FieldGrid(3, 2.5, spec, (0, 2), *fields)
+    # the awkward case keeps bare sigma ids, so its test ids stay stable
+    @pytest.mark.parametrize("sigma, case", [
+        pytest.param(sigma, case, id=str(sigma) if case == "awkward" else f"{sigma}-{case}")
+        for case in _CSV_CASES for sigma in (1.0, 0.3)])
+    def test_csv_bytes_match_per_value_format(self, tmp_path, sigma, case):
+        fg = _CSV_CASES[case]()
+        assert int(np.prod(fg.spec.shape)) > cli._CSV_BLOCK_ROWS
         out = tmp_path / "grid.csv"
         cli._write_grid_csv(str(out), fg, sigma)
-
-        s_field, s_mom = sigma**2, sigma
-        cols = [f"{n}_{i}" for i in (1, 3) for n in ("q_field", "q_mom", "p_field", "p_mom")]
-        lines = [
-            "# t = 2.5, dimension = 3",
-            "# fixed axis z = 0.5",
-            "# q_* weight the field (q_field) and conjugate momentum (q_mom) in the",
-            "# first quadrature of each mode; p_* do the same for the second.",
-            f"# dimensionless scaling: *_field columns carry sigma^((d+1)/2) = {s_field:.17g},",
-            f"# *_mom columns carry sigma^((d-1)/2) = {s_mom:.17g} (sigma = {sigma:.17g})",
-            "# " + ",".join(["x", "y"] + cols),
-        ]
-        pts = spec.points()
-        columns = []
-        for row in range(2):
-            for arr, scale in zip(fields, (s_field, s_mom, s_field, s_mom)):
-                columns.append(scale * arr[row].ravel())
-        for r in range(npts):
-            lines.append(",".join(f"{x:.17g}" for x in [pts[r, 0], pts[r, 1]]
-                                  + [c[r] for c in columns]))
         text = out.read_text()
-        assert text == "\n".join(lines) + "\n"
-        if sigma == 1.0:
+        assert text == per_value_csv(fg, sigma)
+        if case == "awkward" and sigma == 1.0:
             assert all(v in text for v in (",-0,", ",4.9406564584124654e-324,", ",1.0000000000000001e+300,", ",2,"))
+        if case == "signed_zero":
+            assert text.count(",0,-0,0,0\n") == 1667 and text.count(",0,0,0,0\n") == 3334
+        if case == "lattice":  # mirror points repeat rows across the block boundary
+            weights = [row.split(",", 2)[2] for row in _data_rows(text)]
+            assert set(weights[: cli._CSV_BLOCK_ROWS]) & set(weights[cli._CSV_BLOCK_ROWS :])
+
+    def test_csv_formats_each_distinct_row_and_axis_value_once(self, tmp_path, monkeypatch):
+        fg = _CSV_CASES["lattice"]()
+        formatted = []
+
+        def counting(values):
+            formatted.append(values.copy())
+            return fmt_rows(values)
+
+        fmt_rows = cli._fmt_rows
+        monkeypatch.setattr(cli, "_fmt_rows", counting)
+        out = tmp_path / "grid.csv"
+        cli._write_grid_csv(str(out), fg, 0.5)
+        assert out.read_text() == per_value_csv(fg, 0.5)
+
+        axes = [a for a in fg.spec.axes if isinstance(a, GridAxis)]
+        table = _scaled_table(fg, 0.5)
+        distinct = len(np.unique(table.view(np.uint64), axis=0))
+        assert distinct < len(table) / 4  # the lattice repeats rows
+        width = table.shape[1]
+        assert sum(len(v) for v in formatted if v.shape[1] == 1) == sum(len(a) for a in axes)
+        assert sum(len(v) for v in formatted if v.shape[1] == width) == distinct
+        rows = np.concatenate([v for v in formatted if v.shape[1] == width])
+        assert len(np.unique(rows.view(np.uint64), axis=0)) == distinct
 
     def test_default_times_write_one_file_each(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -258,6 +373,44 @@ class TestEvolveCommand:
         cols, data = read_grid_csv(out)
         # scaled field weight at the center is 1/sqrt(2 pi)
         assert data[0, 1] == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-9)
+
+
+_POOL = (0.0, -0.0, 1.0, 0.1, -2.5, 5e-324, np.nan, np.inf)
+
+
+@st.composite
+def _small_field_grids(draw):
+    """A FieldGrid of at most 125 points whose values come from a pool of
+    one to three (so rows repeat) or from random bit patterns, with its sigma."""
+    d = draw(st.sampled_from((2, 3)))
+    varying = draw(st.lists(st.booleans(), min_size=d, max_size=d).filter(any))
+    axes = tuple(
+        GridAxis(draw(st.sampled_from((-1.0, 0.0, 0.3))), 1.0, draw(st.sampled_from((0.25, 0.4, 0.7))))
+        if v else draw(st.sampled_from((0.0, -0.5, 1e-7)))
+        for v in varying)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = draw(st.one_of(st.none(), st.lists(st.sampled_from(_POOL), min_size=1, max_size=3)))
+
+    def values(shape):
+        if pool is not None:
+            return rng.choice(pool, size=shape)
+        return rng.integers(0, 2**64, size=shape, dtype=np.uint64, endpoint=False).view(np.float64)
+
+    fg = _field_grid(d, axes, draw(st.integers(1, 3)), values)
+    return fg, draw(st.sampled_from((1.0, 0.3, 0.2)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_small_field_grids(), block=st.integers(1, 9))
+def test_csv_bytes_match_per_value_format_property(case, block):
+    fg, sigma = case
+    # random bit patterns hold signalling NaNs and values that overflow when scaled
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_CSV_BLOCK_ROWS", block), \
+            np.errstate(over="ignore", invalid="ignore"):
+        path = os.path.join(tmp, "grid.csv")
+        cli._write_grid_csv(path, fg, sigma)
+        with open(path) as fh:
+            assert fh.read() == per_value_csv(fg, sigma)
 
 
 _GAUSS = {"kind": "gaussian", "sigma": 1.0, "center": [0, 0, 0], "t": 0}
