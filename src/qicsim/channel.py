@@ -26,7 +26,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import ConfigurationError, NumericConsistencyError, naming
-from .field_kernel import pairing_detail
+from .field_kernel import pairing_detail, pairing_tails
 from .qic import MAX_GRID_VALUES, Generator
 from .smearing import HARD_SHELL, support_radius
 
@@ -152,16 +152,17 @@ def scenario_moments(sc: ChannelScenario, tol: float = 1e-10) -> ChannelMoments:
     cov = np.zeros((n, n))
     sig = np.zeros(n)
     worst = 0.0
-    for i in range(n):
-        for j in range(i, n):
-            with naming(f"pairing (bob {i}, bob {j})"):
-                val, err = pairing_detail(sc.bobs[i], sc.bobs[j], sc.dimension, tol)
+    gens = (*sc.bobs, sc.alice)  # the sender is index n
+    pairs = [(i, j) for i in range(n) for j in range(i, n)] + [(i, n) for i in range(n)]
+    names = [f"pairing (bob {i}, {'alice' if j == n else f'bob {j}'})" for i, j in pairs]
+    tails = pairing_tails([(gens[i], gens[j]) for i, j in pairs], sc.dimension, names)
+    for (i, j), name, tail in zip(pairs, names, tails):
+        with naming(name):
+            val, err = pairing_detail(gens[i], gens[j], sc.dimension, tol, tail)
+        if j == n:
+            sig[i] = val.imag
+        else:
             cov[i, j] = cov[j, i] = val.real
-            worst = max(worst, err)
-    for i in range(n):
-        with naming(f"pairing (bob {i}, alice)"):
-            val, err = pairing_detail(sc.bobs[i], sc.alice, sc.dimension, tol)
-        sig[i] = val.imag
         worst = max(worst, err)
     return ChannelMoments(noise_cov=cov, signal_im=sig, error_bound=worst)
 
@@ -247,6 +248,30 @@ def _log_base_value(base) -> float:
     raise ConfigurationError("log base must be 2 or 'e'")
 
 
+def _flat(p) -> np.ndarray:
+    return np.asarray(p.probs if isinstance(p, OutcomeDistribution) else p).ravel()
+
+
+def _information(a0: np.ndarray, a1: np.ndarray, base):
+    """q -> `mutual_information` of the flat conditionals a0, a1, with the
+    base, the shapes and the nonzero cells settled once."""
+    ln_base = _log_base_value(base)
+    if a0.shape != a1.shape:
+        raise ConfigurationError("conditionals live on different outcome spaces")
+    cells = [(idx, a[idx]) for a in (a0, a1) for idx in [np.flatnonzero(a > 0.0)]]
+
+    def info(q: float) -> float:
+        if q == 0.0 or q == 1.0:
+            return 0.0
+        pb = q * a0 + (1.0 - q) * a1
+        total = 0.0
+        for weight, (idx, cond) in zip((q, 1.0 - q), cells):
+            total += weight * float(np.add.reduce(cond * np.log(cond / pb[idx])))
+        return total / ln_base
+
+    return info
+
+
 def mutual_information(q: float, p0, p1, base=2) -> float:
     """I(A;B) for prior (q, 1-q) over the two conditionals p0, p1.
 
@@ -254,21 +279,7 @@ def mutual_information(q: float, p0, p1, base=2) -> float:
     """
     if not 0.0 <= q <= 1.0:
         raise ConfigurationError("prior must lie in [0, 1]")
-    ln_base = _log_base_value(base)
-    a0 = np.asarray(p0.probs if isinstance(p0, OutcomeDistribution) else p0).ravel()
-    a1 = np.asarray(p1.probs if isinstance(p1, OutcomeDistribution) else p1).ravel()
-    if a0.shape != a1.shape:
-        raise ConfigurationError("conditionals live on different outcome spaces")
-    if q == 0.0 or q == 1.0:
-        return 0.0
-    pb = q * a0 + (1.0 - q) * a1
-    total = 0.0
-    for weight, cond in ((q, a0), (1.0 - q, a1)):
-        mask = cond > 0.0
-        total += weight * float(
-            np.sum(cond[mask] * np.log(cond[mask] / pb[mask]))
-        )
-    return total / ln_base
+    return _information(_flat(p0), _flat(p1), base)(q)
 
 
 def capacity(p0, p1, base=2, tol: float = 1e-10) -> tuple[float, float]:
@@ -276,11 +287,10 @@ def capacity(p0, p1, base=2, tol: float = 1e-10) -> tuple[float, float]:
     search converges.  The search ends when the bracket is within ``tol`` or
     stops shrinking (at rounding level).  Returns (capacity, maximising prior),
     the prior 0.5 where the capacity is 0."""
-    a0 = np.asarray(p0.probs if isinstance(p0, OutcomeDistribution) else p0).ravel()
-    a1 = np.asarray(p1.probs if isinstance(p1, OutcomeDistribution) else p1).ravel()
+    a0, a1 = _flat(p0), _flat(p1)
     if np.array_equal(a0, a1):
         return 0.0, 0.5
-    f = lambda q: mutual_information(q, a0, a1, base)
+    f = _information(a0, a1, base)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = 0.0, 1.0
     c = b - invphi * (b - a)

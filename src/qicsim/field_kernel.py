@@ -39,24 +39,10 @@ from itertools import groupby
 import numpy as np
 from scipy.special import dawsn, j0
 
-from .errors import ConfigurationError, naming
-from .quadrature import (
-    ROUNDING,
-    _gauss_legendre,
-    _merged,
-    certified_rule,
-    damped_tail_integral,
-    oscillatory_integral,
-    power_tail,
-)
-from .smearing import (
-    GAUSSIAN,
-    HARD_SHELL,
-    ft_frequencies,
-    ft_gauss_decay,
-    radial_ft,
-    support_radius,
-)
+from .errors import ConfigurationError, QuadratureError, naming
+from .quadrature import (ROUNDING, _gauss_legendre, _merged, certified_rule, damped_tail_integral,
+                         oscillatory_integral, power_tails)
+from .smearing import GAUSSIAN, HARD_SHELL, ft_frequencies, ft_gauss_decay, radial_ft, support_radius
 
 
 @dataclass
@@ -274,11 +260,11 @@ def _split(terms, k_split: float):
     return tuple(x[~last] for x in terms[:3]), bound
 
 
-def _tail(d: int, dx: float, tau: float, profiles, derivative: bool = False):
-    """The hard-shell integral of `_radial_integrand` beyond k_split: its value
-    and estimate (`power_tail` of the `_expansion` terms, plus a bound on what
-    they leave out), k_split, and the terms' fastest frequency; the tail,
-    k_split and frequency arguments of `oscillatory_integral`.
+def _tail_plan(d: int, dx: float, tau: float, profiles, derivative: bool = False):
+    """The hard-shell integral of `_radial_integrand` beyond k_split, planned:
+    the `power_tails` arguments of the `_expansion` terms (and of a coarser
+    expansion where an angular average enters), the bound on what they leave
+    out, k_split and the terms' fastest frequency.  `_tails` evaluates plans.
 
     k_split = HANKEL_Z0 / (smallest shell radius that is at least SMALL_RADIUS
     times the largest), so every other radius takes the Hankel expansion in
@@ -304,16 +290,31 @@ def _tail(d: int, dx: float, tau: float, profiles, derivative: bool = False):
                 raise ConfigurationError("too close to a centre on or near a light-cone edge")
     terms, omitted = _split(_expansion(d, dx, tau, profiles, derivative, k_split,
                                        2 * ANGULAR_NODES), k_split)
-    tail, mag = power_tail(terms, k_split)
+    plans = [(terms, k_split)]
     if 0.0 < dx * k_split < HANKEL_Z0 or (d == 2 and min(radii) * k_split < HANKEL_Z0):
         coarse, _ = _split(_expansion(d, dx, tau, profiles, derivative, k_split, ANGULAR_NODES),
                            k_split)
-        omitted += abs(power_tail(coarse, k_split)[0] - tail)
-    return (tail, omitted + ROUNDING * mag), k_split, float(np.abs(terms[2]).max())
+        plans.append((coarse, k_split))
+    return plans, omitted, k_split, float(np.abs(terms[2]).max())
+
+
+def _tails(plans):
+    """The tail (value, estimate), k_split and frequency of each `_tail_plan`
+    (None stays None), one `power_tails` call for all; the estimate adds the
+    coarser expansion's distance and ROUNDING sum|tail terms| to the bound."""
+    sums = iter(power_tails([t for plan in plans if plan for t in plan[0]]))
+    for plan in plans:
+        if plan is not None:
+            terms, omitted, k_split, omega = plan
+            tail, mag = next(sums)
+            if len(terms) > 1:
+                omitted += abs(next(sums)[0] - tail)
+            plan = (tail, omitted + ROUNDING * mag), k_split, omega
+        yield plan
 
 
 def radial_integral(d: int, dx: float, tau: float, profiles, derivative: bool = False,
-                    tol: float = 1e-10, scale: float | None = None) -> tuple[complex, float]:
+                    tol: float = 1e-10, scale: float | None = None, tail=None) -> tuple[complex, float]:
     """The radial integral of `_radial_integrand` with its error estimate.
 
     A Gaussian factor selects `_certified_nodes` and its 2n-node sum.  Given
@@ -322,11 +323,11 @@ def radial_integral(d: int, dx: float, tau: float, profiles, derivative: bool = 
     is within ``tol * scale``, and a sum that diverges (a light-cone edge)
     raises `ConfigurationError`.  Everything else goes through
     `oscillatory_integral`: the body by `certified_rule`, plus the exact tail
-    of `_tail`; its estimate, |n - 2n| + ROUNDING sum|w f| + the omitted
-    Hankel order + ROUNDING sum|tail terms|, is returned.  There a surviving
-    omega = 0 term with p <= 1 (a light-cone edge) raises
-    `ConfigurationError`, and so does a radius too close to a centre on such
-    an edge, where the d=3 terms cancel like 1/dx.
+    (``tail``, or `_tails` of `_tail_plan`); its estimate, |n - 2n| +
+    ROUNDING sum|w f| + the omitted Hankel order + ROUNDING sum|tail terms|,
+    is returned.  There a surviving omega = 0 term with p <= 1 (a light-cone
+    edge) raises `ConfigurationError`, and so does a radius too close to a
+    centre on such an edge, where the d=3 terms cancel like 1/dx.
     """
     if not math.isfinite(tau):
         raise ConfigurationError("the time difference overflows")
@@ -339,9 +340,8 @@ def radial_integral(d: int, dx: float, tau: float, profiles, derivative: bool = 
             raise ConfigurationError("diverges on a light-cone edge")
         if ROUNDING * mag <= tol * scale:
             return val, ROUNDING * mag
-    tail, k_split, omega = _tail(d, dx, tau, profiles, derivative)
-    return oscillatory_integral(_radial_integrand(d, dx, tau, profiles, derivative), tail, k_split,
-                                omega, tol)
+    tail = tail or next(_tails([_tail_plan(d, dx, tau, profiles, derivative)]))
+    return oscillatory_integral(_radial_integrand(d, dx, tau, profiles, derivative), *tail, tol)
 
 
 def _pair_geometry(gen_i, gen_j):
@@ -366,18 +366,44 @@ def _self_floor(s) -> float:
     return max(val.real - ROUNDING * mag, 0.0)
 
 
-def pairing_detail(gen_i, gen_j, d: int, tol: float = 1e-10) -> tuple[complex, float]:
-    """Pairing S_ij with its error estimate (`radial_integral`); for two d=3
-    hard shells the finite-part sum's scale is sqrt(S_ii S_jj), from the
-    self-pairings' sums less their rounding bounds (`_self_floor`)."""
+def _pair_setup(gen_i, gen_j, d: int):
+    """The pair's profiles, checked against ``d``, and `_pair_geometry`."""
     profiles = (gen_i.smearing, gen_j.smearing)
     if {s.dimension for s in profiles} != {d}:
         raise ConfigurationError(f"smearing dimensions {[s.dimension for s in profiles]} != {d}")
-    dx, tau = _pair_geometry(gen_i, gen_j)
+    return profiles, *_pair_geometry(gen_i, gen_j)
+
+
+def pairing_tails(pairs, d: int, names) -> list:
+    """`pairing_detail`'s ``tail`` for each pair of generators: d=2 hard-shell
+    pairs are planned under their ``names`` and evaluated by one `_tails` call
+    (pair by pair if that raises, so that the error names its pair); other
+    pairs, and an overflowing time (`radial_integral` refuses it), get None."""
+    plans = []
+    for (gen_i, gen_j), name in zip(pairs, names):
+        with naming(name):
+            profiles, dx, tau = _pair_setup(gen_i, gen_j, d)
+            plain = d == 2 and math.isfinite(tau) and all(s.kind == HARD_SHELL for s in profiles)
+            plans.append(_tail_plan(d, dx, tau, profiles) if plain else None)
+    try:
+        return list(_tails(plans))
+    except (ConfigurationError, QuadratureError):
+        for plan, name in zip(plans, names):
+            with naming(name):
+                list(_tails([plan]))
+        raise
+
+
+def pairing_detail(gen_i, gen_j, d: int, tol: float = 1e-10, tail=None) -> tuple[complex, float]:
+    """Pairing S_ij with its error estimate (`radial_integral`, given the
+    pair's ``tail`` from `pairing_tails`, if any); for two d=3 hard shells
+    the finite-part sum's scale is sqrt(S_ii S_jj), from the self-pairings'
+    sums less their rounding bounds (`_self_floor`)."""
+    profiles, dx, tau = _pair_setup(gen_i, gen_j, d)
     scale = None
     if _finite_part_applies(d, profiles):
         scale = math.sqrt(_self_floor(profiles[0]) * _self_floor(profiles[1]))
-    return radial_integral(d, dx, tau, profiles, tol=tol, scale=scale)
+    return radial_integral(d, dx, tau, profiles, tol=tol, scale=scale, tail=tail)
 
 
 def pairing(gen_i, gen_j, d: int, tol: float = 1e-10) -> complex:
@@ -388,30 +414,26 @@ def pairing(gen_i, gen_j, d: int, tol: float = 1e-10) -> complex:
 def pairing_damped(gen_i, gen_j, d: int) -> tuple[complex, float]:
     """Independent damped-tail evaluation of the pairing (cross-check path),
     one path for every profile kind."""
-    si, sj = gen_i.smearing, gen_j.smearing
-    if {si.dimension, sj.dimension} != {d}:
-        raise ConfigurationError(f"smearing dimensions {[si.dimension, sj.dimension]} != {d}")
-    dx, tau = _pair_geometry(gen_i, gen_j)
+    (si, sj), dx, tau = _pair_setup(gen_i, gen_j, d)
     integrand = _radial_integrand(d, dx, tau, (si, sj))
     omega = abs(tau) + dx + sum(ft_frequencies(si)) + sum(ft_frequencies(sj))
     return damped_tail_integral(integrand, omega)
 
 
 def pairing_matrix(generators, d: int, tol: float = 1e-10) -> PairingMatrix:
-    """Build the full pairing matrix; upper triangle computed, mirrored by
-    Hermitian symmetry (each entry's error estimate is mirrored too)."""
+    """Build the full pairing matrix; upper triangle computed (tails first, by
+    `pairing_tails`), mirrored by Hermitian symmetry (errors too)."""
     n = len(generators)
     entries = np.zeros((n, n), dtype=complex)
     errors = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i, n):
-            with naming(f"pairing ({i}, {j})"):
-                val, err = pairing_detail(generators[i], generators[j], d, tol)
-            entries[i, j] = val
-            errors[i, j] = err
-            if j != i:
-                entries[j, i] = np.conjugate(val)
-                errors[j, i] = err
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    names = [f"pairing ({i}, {j})" for i, j in upper]
+    tails = pairing_tails([(generators[i], generators[j]) for i, j in upper], d, names)
+    for (i, j), name, tail in zip(upper, names, tails):
+        with naming(name):
+            val, err = pairing_detail(generators[i], generators[j], d, tol, tail)
+        entries[j, i], entries[i, j] = np.conjugate(val), val  # the diagonal keeps val
+        errors[i, j] = errors[j, i] = err
     return PairingMatrix(entries=entries, errors=errors, dimension=d)
 
 
@@ -539,7 +561,7 @@ class ModeProfileEvaluator:
     where the value does), so the quadrature serves only where the terms
     cancel (r -> 0, like 1/r).  A radius on a light-cone edge where I or
     dI/dt diverges raises `ConfigurationError`, in either dimension, and so
-    does a radius too close to a centre on such an edge (`_tail`).
+    does a radius too close to a centre on such an edge (`_tail_plan`).
     """
 
     def __init__(self, gen, t: float, d: int, dx_max: float, tol: float = 1e-10,

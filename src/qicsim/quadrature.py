@@ -20,9 +20,10 @@ Strategy
 * Algebraic decay: `oscillatory_integral` is that rule on [0, K] plus the
   exact integral beyond K.  There the integrand is a finite sum of terms
   c k^-p e^{i omega k} (built by `field_kernel._expansion`), and
-  `power_tail` integrates each term exactly through the generalized
-  exponential integral `expint` (DLMF 8.19).  A surviving omega = 0 term
-  with p <= 1 is a divergence, flagged at once.
+  `power_tails` integrates each term exactly through the generalized
+  exponential integral `expint` (DLMF 8.19), one call for the terms of
+  many integrals.  A surviving omega = 0 term with p <= 1 is a divergence,
+  flagged at once.
 * `damped_tail_integral` is an intentionally independent cross-check: it
   multiplies the integrand by e^{-eta k}, integrates the now absolutely
   convergent integral for a ladder of eta values, and extrapolates eta -> 0
@@ -153,19 +154,36 @@ def _merged(c, p, omega):
     return c[keep], p[first][keep], omega[first][keep]
 
 
+def power_tails(tails) -> list[tuple[complex, float]]:
+    """`power_tail` of each (terms, k_split) in ``tails``, each merged, checked
+    and summed on its own, with one `expint` call for all (elementwise: the
+    same bits as one call each)."""
+    if not tails:
+        return []
+    plans = []
+    for terms, k_split in tails:
+        c, p, omega = _merged(*terms)
+        still = omega == 0.0
+        if np.any(still & (p <= 1.0)):
+            raise ConfigurationError("diverges on a light-cone edge")
+        vals = c * k_split ** (1.0 - p)
+        vals[still] /= p[still] - 1.0
+        plans.append((vals, ~still, p[~still], -1j * k_split * omega[~still]))
+    e = expint(np.concatenate([plan[2] for plan in plans]), np.concatenate([plan[3] for plan in plans]))
+    out, start = [], 0
+    for vals, moving, _, z in plans:
+        vals[moving] *= e[start : start + len(z)]
+        start += len(z)
+        out.append((complex(vals.sum()), float(np.abs(vals).sum())))
+    return out
+
+
 def power_tail(terms, k_split: float) -> tuple[complex, float]:
     """sum c int_K^inf k^-p e^{i omega k} dk over ``terms`` = (c, p, omega)
     arrays, K = ``k_split``: c K^{1-p} E_p(-i omega K), or c K^{1-p} / (p - 1)
     for omega = 0.  Returns (value, sum of |term|).  A surviving omega = 0 term
     with p <= 1 does not decay and raises `ConfigurationError`."""
-    c, p, omega = _merged(*terms)
-    still = omega == 0.0
-    if np.any(still & (p <= 1.0)):
-        raise ConfigurationError("diverges on a light-cone edge")
-    vals = c * k_split ** (1.0 - p)
-    vals[still] /= p[still] - 1.0
-    vals[~still] *= expint(p[~still], -1j * k_split * omega[~still])
-    return complex(vals.sum()), float(np.abs(vals).sum())
+    return power_tails([(terms, k_split)])[0]
 
 
 def panel_nodes(k_max: float, omega: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:

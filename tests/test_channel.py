@@ -24,6 +24,7 @@ from qicsim.channel import (
     subset_label,
 )
 import qicsim.channel as channel
+from qicsim import quadrature
 from qicsim.errors import ConfigurationError, NumericConsistencyError, QuadratureError
 from qicsim.field_kernel import pairing
 from qicsim.qic import Generator
@@ -154,10 +155,10 @@ def test_moment_stall_names_the_pair(table1_3, monkeypatch, bad, label):
     i, j = bad
     culprit = (table1_3.bobs[i], table1_3.alice if j is None else table1_3.bobs[j])
 
-    def stalling(gi, gj, d, tol):
+    def stalling(gi, gj, d, tol, tail):
         if gi is culprit[0] and gj is culprit[1]:
             raise QuadratureError("radial integral stalled", value=1 + 2j, estimate=0.5)
-        return real(gi, gj, d, tol)
+        return real(gi, gj, d, tol, tail)
 
     monkeypatch.setattr(channel, "pairing_detail", stalling)
     with pytest.raises(QuadratureError, match=rf"^pairing \({label}\): radial integral stalled$") as info:
@@ -168,6 +169,28 @@ def test_moment_stall_names_the_pair(table1_3, monkeypatch, bad, label):
     monkeypatch.setattr(channel, "pairing_detail", lambda *a: calls.append(a) or real(*a))
     scenario_moments(table1_3)
     assert len(calls) == 9
+
+
+
+def test_tail_failure_names_the_pair(table1_2, monkeypatch):
+    # the d=2 tails of a scenario share one E_p call; when it fails, the
+    # error still names the first pair whose tail fails
+    monkeypatch.setattr(quadrature, "EXPINT_STEPS", 1)
+    with pytest.raises(QuadratureError, match=r"^pairing \(bob 0, bob 0\): E_p continued "
+                       r"fraction: no convergence in 1 steps$"):
+        scenario_moments(table1_2)
+
+
+def test_tail_planning_error_names_the_pair(table1_2):
+    # bob 2 is bob 1 moved by 1e-4: their pairing's kernel would need the
+    # expansion of a centre on a light-cone edge, which is refused while the
+    # tails are planned; the pairs before it planned fine
+    b1 = table1_2.bobs[1]
+    moved = Generator(RadialSmearing.hard_shell(b1.smearing.r_inner, b1.smearing.r_outer,
+                                                (1e-4, 0.0), 2), b1.coupling_time, b1.coupling)
+    sc = make_channel_scenario(table1_2.alice, (table1_2.bobs[0], b1, moved), 2)
+    with pytest.raises(ConfigurationError, match=r"^pairing \(bob 1, bob 2\): too close to a centre"):
+        scenario_moments(sc)
 
 
 class TestDistributionValidation:
@@ -283,6 +306,109 @@ class TestCapacity:
         c, q = capacity(p0, p1, 2, tol=tol)
         c_ref, q_ref = capacity(p0, p1, 2, tol=1e-12)
         assert c == pytest.approx(c_ref, rel=1e-14) and q == pytest.approx(q_ref, abs=1e-6)
+
+
+
+def golden_section_reference(p0, p1, base, tol):
+    """The prior search written on top of the public `mutual_information`,
+    one call per prior, as `capacity` is specified."""
+    a0, a1 = np.ravel(p0), np.ravel(p1)
+    if np.array_equal(a0, a1):
+        return 0.0, 0.5
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, 1.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = mutual_information(c, a0, a1, base), mutual_information(d, a0, a1, base)
+    width = math.inf
+    while b - a < width and not b - a <= tol:
+        width = b - a
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = mutual_information(c, a0, a1, base)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = mutual_information(d, a0, a1, base)
+    q_star = 0.5 * (a + b)
+    c = mutual_information(q_star, a0, a1, base)
+    return (0.0, 0.5) if c <= 0.0 else (c, q_star)
+
+
+class TestCapacitySearchBits:
+    """`capacity` settles the base, the shapes and the nonzero cells once per
+    search; every capacity and prior keeps the bits of the search above."""
+
+    @pytest.mark.parametrize("cells", (2, 4, 8))
+    @pytest.mark.parametrize("zeros", (0, 1), ids=("dense", "zero-cells"))
+    def test_matches_reference_search(self, cells, zeros):
+        rng = np.random.default_rng(100 * cells + zeros)
+        for _ in range(20):
+            p0, p1 = rng.random(cells), rng.random(cells)
+            if zeros:  # a cell empty in each conditional, and one empty in both
+                p0[0] = p1[-1] = 0.0
+                if cells > 2:
+                    p0[1] = p1[1] = 0.0
+            p0, p1 = p0 / p0.sum(), p1 / p1.sum()
+            shape = (2,) * int(math.log2(cells))
+            for base, tol in ((2, 1e-10), ("e", 1e-10), (2, math.nan)):
+                got = capacity(p0.reshape(shape), p1.reshape(shape), base, tol)
+                want = golden_section_reference(p0, p1, base, tol)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (p0, p1, base, tol)
+
+    def test_invalid_inputs(self):
+        p = np.array([0.5, 0.5])
+        with pytest.raises(ConfigurationError, match="different outcome spaces"):
+            capacity(p, np.array([0.2, 0.3, 0.5]))
+        with pytest.raises(ConfigurationError, match="log base"):
+            capacity(p, np.array([0.2, 0.8]), base=10)
+
+
+# float.hex of table1's capacity table and moments (`capacity_table` with the
+# default tolerances); a change to the pairing or capacity path that is meant
+# to keep the outputs must keep these bits
+TABLE1_BITS = {
+    3: {
+        "capacities": ["0x1.71983d1003e2bp-53", "0x1.1c71713f5ca9cp-15", "0x0.0p+0",
+                       "0x1.21833d009ac05p-15", "0x1.39670ff9d995cp-15", "0x0.0p+0",
+                       "0x1.3e818cf24ab56p-15"],
+        "priors": ["0x1.06e7be5e88640p-1", "0x1.ffffd7ac3e8e8p-2", "0x1.0000000000000p-1",
+                   "0x1.000008dedee42p-1", "0x1.fffffefe83aa2p-2", "0x1.0000000000000p-1",
+                   "0x1.0000086ebf430p-1"],
+        "noise_cov": ["0x1.4fec56d5cfaabp-1", "0x1.db1e71a4e6413p+0", "0x1.c5ec55b2b1128p-1",
+                      "0x1.db1e71a4e6413p+0", "0x1.f19d1f1b19789p+5", "0x1.0dd2193461befp+5",
+                      "0x1.c5ec55b2b1128p-1", "0x1.0dd2193461befp+5", "0x1.23d37edf9e8e6p+6"],
+        "signal_im": ["0x1.8d84800000000p-50", "-0x1.08320425ef7b4p+2", "0x1.2db45c0000000p-45"],
+        "error_bound": "0x1.8c3dda6d3f356p-36",
+    },
+    2: {
+        "capacities": ["0x1.b6a58f0c927a3p-10", "0x1.1e070519798acp-7", "0x0.0p+0",
+                       "0x1.4eeefa8b01dc1p-7", "0x1.cbdc22b7a7493p-7", "0x1.b835645c825d9p-10",
+                       "0x1.fbc73383b04d2p-7"],
+        "priors": ["0x1.08c9044d98bc4p-1", "0x1.006871e438b99p-1", "0x1.0000000000000p-1",
+                   "0x1.015336e442a01p-1", "0x1.00ff9079f97b5p-1", "0x1.08d9e08a48013p-1",
+                   "0x1.01c3703fbccb1p-1"],
+        "noise_cov": ["0x1.f1a9fbe76c8c9p-1", "0x1.3005a4e885ca9p+1", "0x1.279aa4d4f2184p+0",
+                      "0x1.3005a4e885ca9p+1", "0x1.778b2f0c8c9d1p+4", "0x1.73be102316d45p+3",
+                      "0x1.279aa4d4f2184p+0", "0x1.73be102316d45p+3", "0x1.c6f47baf0919ap+3"],
+        "signal_im": ["-0x1.7dca957286933p-2", "-0x1.43767eb61b1bcp+1", "-0x1.64f8000000000p-52"],
+        "error_bound": "0x1.c97ce6fe1f529p-42",
+    },
+}
+
+
+@pytest.mark.parametrize("dim", (3, 2))
+def test_table1_bits_are_pinned(dim, request):
+    table = request.getfixturevalue(f"captable_{dim}")
+    moments = request.getfixturevalue(f"moments_{dim}")
+    want = TABLE1_BITS[dim]
+    labels = ["B1", "B2", "B3", "B1B2", "B2B3", "B1B3", "B1B2B3"]
+    assert list(table.capacities) == list(table.priors) == labels
+    assert [table.capacities[k].hex() for k in labels] == want["capacities"]
+    assert [table.priors[k].hex() for k in labels] == want["priors"]
+    assert [x.hex() for x in moments.noise_cov.ravel().tolist()] == want["noise_cov"]
+    assert [x.hex() for x in moments.signal_im.tolist()] == want["signal_im"]
+    assert moments.error_bound.hex() == table.moment_error_bound.hex() == want["error_bound"]
 
 
 class TestCapacityTable:

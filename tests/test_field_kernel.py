@@ -13,10 +13,13 @@ from qicsim.field_kernel import (
     _gaussian_mode_closed,
     _pair_geometry,
     _radial_integrand,
+    _tail_plan,
+    _tails,
     pairing,
     pairing_damped,
     pairing_detail,
     pairing_matrix,
+    pairing_tails,
     radial_integral,
     spacelike_separated,
 )
@@ -607,6 +610,60 @@ def test_concentric_d2_pairings_match_closed_form():
             val, err = pairing_detail(gen_shell(2, *a, t=0.7), gen_shell(2, *b, t=0.7), 2)
             exact, mag = concentric_d2_pairing(a, b)
             assert abs(val - exact) <= err + 8 * np.finfo(float).eps * mag, (a, b, val, exact)
+
+
+
+def seeded_d2_shells(seed: int, n: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [gen_shell(2, float(r), float(r + rng.uniform(0.3, 1.5)),
+                      tuple(rng.uniform(-2.0, 2.0, 2)), float(rng.uniform(-1.0, 1.0)))
+            for r in rng.choice([0.0, 0.4, 0.9], size=n)]
+
+
+def hexed(x):
+    """Nested tuples of numbers as their float.hex strings."""
+    if isinstance(x, tuple):
+        return tuple(map(hexed, x))
+    x = complex(x)
+    return x.real.hex(), x.imag.hex()
+
+
+def test_batched_d2_tails_equal_one_pair_tails():
+    # the last shell's inner radius is below SMALL_RADIUS times its outer one,
+    # so it enters its pairs as an angular average, and each of their tails
+    # as two term sets (the coarser one gives the estimate)
+    gens = seeded_d2_shells(31, 4) + [gen_shell(2, 1e-4, 0.8, center=(0.2, 0.0))]
+    pairs = [(gi, gj) for i, gi in enumerate(gens) for gj in gens[i:]]
+    tails = pairing_tails(pairs, 2, [f"pair {n}" for n in range(len(pairs))])
+    coarse = 0
+    for (gi, gj), tail in zip(pairs, tails):
+        plan = _tail_plan(2, *_pair_geometry(gi, gj), (gi.smearing, gj.smearing))
+        coarse += len(plan[0]) == 2
+        assert hexed(tail) == hexed(next(_tails([plan])))
+        assert hexed(pairing_detail(gi, gj, 2, 1e-10, tail)) == hexed(pairing_detail(gi, gj, 2))
+    assert coarse >= 1
+    # pairs that take no tail get None: a Gaussian factor, and d=3
+    assert pairing_tails([(gens[0], gen_gaussian(2))], 2, ["g"]) == [None]
+    assert pairing_tails([(gen_shell(3, 0.5, 1.25),) * 2], 3, ["3"]) == [None]
+
+
+def test_d2_shell_pairing_matrix_equals_pair_by_pair():
+    gens = seeded_d2_shells(32, 4)
+    pm = pairing_matrix(gens, 2)
+    for i, gi in enumerate(gens):
+        for j in range(i, len(gens)):
+            val, err = pairing_detail(gi, gens[j], 2)
+            assert hexed((pm.entries[i, j], pm.errors[i, j])) == hexed((val, err))
+            if j != i:
+                assert hexed((pm.entries[j, i], pm.errors[j, i])) == hexed((val.conjugate(), err))
+
+
+def test_tail_planning_error_in_the_batch_names_its_pair():
+    # shell 2 is shell 0 moved by 1e-4: their kernel would need the expansion
+    # of a centre on a light-cone edge, refused while the tails are planned
+    shell, moved = gen_shell(2, 0.5, 1.25), gen_shell(2, 0.5, 1.25, center=(1e-4, 0.0))
+    with pytest.raises(ConfigurationError, match=r"^pairing \(0, 2\): too close to a centre"):
+        pairing_matrix([shell, seeded_d2_shells(33, 1)[0], moved], 2)
 
 
 @pytest.mark.parametrize("d", (2, 3))

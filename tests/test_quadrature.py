@@ -7,12 +7,13 @@ import pytest
 from scipy.special import sici
 
 from qicsim import quadrature
-from qicsim.errors import ConfigurationError
+from qicsim.errors import ConfigurationError, QuadratureError
 from qicsim.quadrature import (
     damped_tail_integral,
     expint,
     oscillatory_integral,
     power_tail,
+    power_tails,
     segment_integrals,
 )
 
@@ -158,6 +159,32 @@ def test_power_tail_sums_merged_terms_and_flags_divergence():
     cancelled = (np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]))
     alone = (np.array([1.0]), np.array([2.0]), np.array([1.0]))
     assert power_tail(cancelled, 3.0) == power_tail(alone, 3.0)
+
+
+
+def test_expint_raises_past_its_step_cap(monkeypatch):
+    # |z| = 30 takes the continued fraction, which needs more than one step
+    monkeypatch.setattr(quadrature, "EXPINT_STEPS", 1)
+    with pytest.raises(QuadratureError, match="^E_p continued fraction: no convergence in 1 steps$"):
+        expint(np.array([2.5, 3.0]), np.array([-30j, 0.5j]))
+
+
+def test_power_tails_equal_one_call_per_plan():
+    # term sets of the shapes `field_kernel._expansion` makes: half-integer and
+    # integer powers, repeated and zero frequencies, |omega K| on both sides of
+    # EXPINT_CUT, and a set whose terms all have omega = 0
+    rng = np.random.default_rng(20)
+    sets = []
+    for n in (1, 7, 40, 64, 3):
+        p = rng.choice([2.0, 2.5, 3.0, 3.5, 4.0, 5.5], size=n)
+        omega = rng.choice([0.0, 0.01, -0.3, 1.7, -4.2, 9.0], size=n) * (n != 3)
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        sets.append(((c, p, omega), float(rng.uniform(0.5, 40.0))))
+    batched = power_tails(sets)
+    alone = [power_tail(*x) for x in sets]
+    assert [(v.real.hex(), v.imag.hex(), m.hex()) for v, m in batched] == \
+        [(v.real.hex(), v.imag.hex(), m.hex()) for v, m in alone]
+    assert power_tails([]) == []
 
 
 @pytest.mark.parametrize("k_split", (2.0, 30.0))
