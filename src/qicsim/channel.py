@@ -167,9 +167,7 @@ def scenario_moments(sc: ChannelScenario, tol: float = 1e-10) -> ChannelMoments:
     return ChannelMoments(noise_cov=cov, signal_im=sig, error_bound=worst)
 
 
-def distribution_from_moments(
-    moments: ChannelMoments, couplings, lam_alice: float, detectors=None
-) -> OutcomeDistribution:
+def distribution_from_moments(moments: ChannelMoments, couplings, lam_alice: float) -> OutcomeDistribution:
     """Exact outcome distribution for any receiver count within the budget.
 
     Detector i's sign pair (s_i, s'_i) enters only through
@@ -187,8 +185,6 @@ def distribution_from_moments(
     m = np.asarray(moments.signal_im, dtype=float)
     if V.shape != (n, n) or m.shape != (n,):
         raise ConfigurationError("moment shapes do not match coupling count")
-    if detectors is None:
-        detectors = tuple(f"B{i + 1}" for i in range(n))
 
     classes = np.array(list(product((0.0, 2.0, -2.0), repeat=n)))
     moved = classes != 0.0
@@ -204,7 +200,7 @@ def distribution_from_moments(
     flipped = (outcomes @ moved.T) % 2 == 1
     signed = np.where(flipped, -weights, weights)
     raw = np.array([math.fsum(terms) for terms in signed]).reshape((2,) * n)
-    return _finalize_distribution(raw, detectors)
+    return _finalize_distribution(raw, [f"B{i + 1}" for i in range(n)])
 
 
 def joint_distribution(

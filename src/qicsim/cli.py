@@ -15,6 +15,7 @@ config keys are rejected before any computation starts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -361,7 +362,9 @@ def _add_common(p: argparse.ArgumentParser, with_grid: bool) -> None:
         p.add_argument("--threads", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each command is looked up as it runs (so it can be patched)."""
     parser = argparse.ArgumentParser(prog="qicsim", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -370,11 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cap, with_grid=False)
     p_cap.add_argument("--log-base", dest="log_base", choices=("2", "e"), default=None)
     p_cap.add_argument("--search-tol", dest="search_tol", type=float, default=None)
-    p_cap.set_defaults(func=cmd_capacity)
+    p_cap.set_defaults(func=lambda a: cmd_capacity(a))
 
     p_ev = sub.add_parser("evolve", help="weighting-function grids over spacetime")
     _add_common(p_ev, with_grid=True)
-    p_ev.set_defaults(func=cmd_evolve)
+    p_ev.set_defaults(func=lambda a: cmd_evolve(a))
 
     p_sw = sub.add_parser("shockwave", help="evolve with the shockwave preset")
     _add_common(p_sw, with_grid=True)
@@ -383,13 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the invariant suite")
     p_val.add_argument("--only", default=None,
                        help="comma-separated check names to run")
-    p_val.set_defaults(func=cmd_validate)
+    p_val.set_defaults(func=lambda a: cmd_validate(a))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigurationError, QuadratureError, NumericConsistencyError) as exc:

@@ -309,12 +309,12 @@ def weighting_grid(
     """Sample the four weighting functions of one mode (or all modes).
 
     Each generator's distinct radii are sorted and split into 4 * ``threads``
-    chunks for a pool of ``threads`` workers (capped at this process's
-    CPUs), the same way at every thread count; equal radii share a chunk, so
-    each distinct radius is evaluated once and shared across modes.  The
-    evaluator chooses its path from the distinct-radius count and builds any
-    table's rows in the same pool.  The field components come from the exact
-    time-derivative integral.
+    chunks that `Executor.map` hands to ``threads`` workers (capped at this
+    process's CPUs), the same way at every thread count; equal radii share a
+    chunk, so each distinct radius is evaluated once and shared across modes.
+    The evaluator chooses its path from the distinct-radius count and builds
+    any table's rows in the same pool.  The field components come from the
+    exact time-derivative integral.
     """
     from concurrent.futures import ThreadPoolExecutor  # looked up per call, so it can be patched
 
@@ -346,8 +346,7 @@ def weighting_grid(
     v1, v2, u1, u2 = np.empty((4, k, len(pts)))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         def rows(fn, r):  # an evaluator's table rows, split over the pool like the radii
-            futures = [pool.submit(fn, part) for part in np.array_split(r, 4 * threads)]
-            return np.concatenate([fut.result() for fut in futures])
+            return np.concatenate(list(pool.map(fn, np.array_split(r, 4 * threads))))
 
         for j, gen in enumerate(modes.generators):
             dx = np.linalg.norm(pts - np.asarray(gen.smearing.center), axis=1)
@@ -357,9 +356,7 @@ def weighting_grid(
                                       rows=rows)
             cuts = [part[0] for part in np.array_split(starts, 4 * threads)[1:] if len(part)]
             chunks = np.split(order, cuts)
-            futures = [(c, pool.submit(ev.evaluate, dx[c])) for c in chunks]
-            for c, fut in futures:
-                I, dI = fut.result()
+            for c, (I, dI) in zip(chunks, pool.map(ev.evaluate, [dx[c] for c in chunks])):
                 v1[j, c], v2[j, c] = 2.0 * dI.imag, -2.0 * I.imag
                 u1[j, c], u2[j, c] = -2.0 * dI.real, 2.0 * I.real
 

@@ -38,10 +38,9 @@ achieved accuracy instead of assuming it.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -60,13 +59,10 @@ EXPINT_SERIES = 32  # its series terms: 2^32 / 32! < 1e-25
 _EPS = np.finfo(float).eps
 ROUNDING = 8.0 * _EPS  # padded relative rounding of one term or node of a sum
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _segment_nodes(edges: np.ndarray, nodes: int):
@@ -155,9 +151,12 @@ def _merged(c, p, omega):
 
 
 def power_tails(tails) -> list[tuple[complex, float]]:
-    """`power_tail` of each (terms, k_split) in ``tails``, each merged, checked
-    and summed on its own, with one `expint` call for all (elementwise: the
-    same bits as one call each)."""
+    """sum c int_K^inf k^-p e^{i omega k} dk over the terms = (c, p, omega)
+    arrays of each (terms, K) in ``tails``: c K^{1-p} E_p(-i omega K), or
+    c K^{1-p} / (p - 1) for omega = 0.  Returns (value, sum of |term|) per
+    set, each merged, checked and summed on its own, with one `expint` call
+    for all (elementwise: the same bits as one call each).  A surviving
+    omega = 0 term with p <= 1 does not decay and raises `ConfigurationError`."""
     if not tails:
         return []
     plans = []
@@ -176,14 +175,6 @@ def power_tails(tails) -> list[tuple[complex, float]]:
         start += len(z)
         out.append((complex(vals.sum()), float(np.abs(vals).sum())))
     return out
-
-
-def power_tail(terms, k_split: float) -> tuple[complex, float]:
-    """sum c int_K^inf k^-p e^{i omega k} dk over ``terms`` = (c, p, omega)
-    arrays, K = ``k_split``: c K^{1-p} E_p(-i omega K), or c K^{1-p} / (p - 1)
-    for omega = 0.  Returns (value, sum of |term|).  A surviving omega = 0 term
-    with p <= 1 does not decay and raises `ConfigurationError`."""
-    return power_tails([(terms, k_split)])[0]
 
 
 def panel_nodes(k_max: float, omega: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +225,7 @@ def oscillatory_integral(integrand, tail, k_split: float, omega: float,
     """int_0^inf of ``integrand`` (algebraic decay): a body on [0, k_split] by
     `certified_rule` on panels resolving ``omega``, summed over all nodes at
     once, plus ``tail`` = (value, estimate) of the integral beyond k_split
-    (see `power_tail`), whose estimate is the rule's ``extra``.  Returns the
+    (see `power_tails`), whose estimate is the rule's ``extra``.  Returns the
     2n-node value and the estimate."""
     _, sums, err = certified_rule(lambda k, w: (w * integrand(k))[:, None],
                                   lambda k, wf: wf.sum(axis=0, keepdims=True) + tail[0],
@@ -262,10 +253,11 @@ def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
     Slow but accurate; intended for cross-checks, not production paths.
 
     The pass runs on every CPU of ``os.sched_getaffinity``: each block of
-    segments is split into one slab per CPU, slabs are evaluated in a thread
-    pool (at most one per CPU at a time), and each rung's segment sums are
-    added up in fixed chunks in grid order.  Value and estimate therefore do
-    not depend on the CPU count, but ``integrand`` must be thread-safe.
+    segments is split into one slab per CPU, `Executor.map` runs the slabs on
+    a thread pool of that size and returns their sums in grid order, and each
+    rung's segment sums are added up in fixed chunks.  Value and estimate
+    therefore do not depend on the CPU count, but ``integrand`` must be
+    thread-safe.  An integrand error reaches the caller unchanged.
     """
     h = math.pi / (omega + 1.0)
     etas = DAMPING_ETA0 * 0.5 ** np.arange(DAMPING_RUNGS)
@@ -274,18 +266,12 @@ def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
     chunk, block = 50000, 2500  # rungs sum per chunk (fixes the bytes); block divides chunk
     bounds = [min(i0 + block * s // workers, total) for i0 in range(0, total, block)
               for s in range(workers)]  # each block splits into one slab per worker
-    slabs = ((a, b) for a, b in zip(bounds, bounds[1:] + [total]) if a < b)
+    slabs = [(a, b) for a, b in zip(bounds, bounds[1:] + [total]) if a < b]
     seg = np.empty((DAMPING_RUNGS, chunk), dtype=complex)
     vals = np.zeros(DAMPING_RUNGS, dtype=complex)
     with ThreadPoolExecutor(workers) as pool:
-        def submit(slab):
-            return slab[0], pool.submit(_damped_slab, integrand, h, etas, counts, *slab)
-
-        running = deque(map(submit, itertools.islice(slabs, workers)))
-        while running:  # at most one slab per worker in flight, taken in grid order
-            a, future = running.popleft()
-            sums = future.result()
-            running.extend(map(submit, itertools.islice(slabs, 1)))
+        in_order = pool.map(lambda ab: _damped_slab(integrand, h, etas, counts, *ab), slabs)
+        for (a, _), sums in zip(slabs, in_order):
             c0 = a % chunk
             for j, s in enumerate(sums, DAMPING_RUNGS - len(sums)):
                 m = len(s)  # rung j's segments in this slab

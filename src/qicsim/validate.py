@@ -6,14 +6,16 @@ are diagnosable from the report alone.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import capacity_table, joint_distribution, marginalize, scenario_moments
 from .errors import ConfigurationError
-from .field_kernel import pairing, pairing_detail
+from .field_kernel import pairing
 from .qic import Generator, build_qic, covariance_matrix, symplectic_gram
 from .scenarios import shockwave_scenario, single_qic_scenario, table1_scenario
 from .smearing import RadialSmearing
@@ -26,15 +28,27 @@ class CheckResult:
     residual: float
     threshold: float
     note: str = ""
+    compare: str = "<="  # passed = residual <compare> threshold
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        out = f"{status}  {self.name}: residual {self.residual:.3e} (<= {self.threshold:.1e})"
+        out = f"{status}  {self.name}: residual {self.residual:.3e} ({self.compare} {self.threshold:.1e})"
         return out + (f"  [{self.note}]" if self.note else "")
 
 
-def _result(name, residual, threshold, note=""):
-    return CheckResult(name, residual <= threshold, float(residual), threshold, note)
+def _result(name, residual, threshold, note="", compare="<="):
+    passed = {"<=": operator.le, ">": operator.gt, ">=": operator.ge}[compare](residual, threshold)
+    return CheckResult(name, passed, float(residual), threshold, note, compare)
+
+
+@functools.cache
+def _table1(d: int):
+    """table1's moments, outcome distributions for bits 0 and 1, and
+    capacities in dimension d, built once for every check that reads them."""
+    sc = table1_scenario(d)
+    moments = scenario_moments(sc)
+    dists = tuple(joint_distribution(sc, bit, moments) for bit in (0, 1))
+    return moments, dists, capacity_table(sc, base=2).capacities
 
 
 def check_closed_form_constants() -> list[CheckResult]:
@@ -123,22 +137,14 @@ def check_hermiticity() -> list[CheckResult]:
 
 
 def check_microcausality() -> list[CheckResult]:
-    out = []
-    for d in (3, 2):
-        sc = table1_scenario(d)
-        val, _ = pairing_detail(sc.bobs[2], sc.alice, d)
-        out.append(_result(f"microcausality d={d}", abs(val.imag), 1e-9,
-                           "spacelike sender/outside-shell pairing"))
-    return out
+    return [_result(f"microcausality d={d}", abs(_table1(d)[0].signal_im[2]), 1e-9,
+                    "spacelike sender/outside-shell pairing") for d in (3, 2)]
 
 
 def check_normalization() -> list[CheckResult]:
     worst = 0.0
     for d in (3, 2):
-        sc = table1_scenario(d)
-        moments = scenario_moments(sc)
-        for bit in (0, 1):
-            p = joint_distribution(sc, bit, moments)
+        for p in _table1(d)[1]:
             worst = max(worst, abs(p.probs.sum() - 1.0), -min(p.probs.min(), 0.0))
     return [_result("distribution normalization", worst, 1e-10)]
 
@@ -146,10 +152,7 @@ def check_normalization() -> list[CheckResult]:
 def check_no_signaling() -> list[CheckResult]:
     out = []
     for d in (3, 2):
-        sc = table1_scenario(d)
-        moments = scenario_moments(sc)
-        p0 = marginalize(joint_distribution(sc, 0, moments), (2,))
-        p1 = marginalize(joint_distribution(sc, 1, moments), (2,))
+        p0, p1 = (marginalize(p, (2,)) for p in _table1(d)[1])
         out.append(_result(f"no-signaling d={d}",
                            float(np.abs(p0.probs - p1.probs).max()), 1e-9,
                            "outside-detector marginals agree across bits"))
@@ -159,25 +162,21 @@ def check_no_signaling() -> list[CheckResult]:
 def check_superadditivity() -> list[CheckResult]:
     out = []
     for d in (3, 2):
-        res = capacity_table(table1_scenario(d), base=2)
-        c = res.capacities
+        c = _table1(d)[2]
         margin = min(
             c["B2B3"] - c["B2"],
             c["B1B2"] - c["B2"],
             c["B1B2B3"] - c["B1B2"],
         )
-        out.append(CheckResult(f"superadditivity d={d}", margin > 0.0,
-                               float(margin), 0.0, "capacity gains, must be > 0"))
+        out.append(_result(f"superadditivity d={d}", margin, 0.0, "capacity gains, must be > 0", ">"))
     return out
 
 
 def check_huygens() -> list[CheckResult]:
-    c3 = capacity_table(table1_scenario(3), base=2).capacities["B1"]
-    c2 = capacity_table(table1_scenario(2), base=2).capacities["B1"]
+    c3, c2 = (_table1(d)[2]["B1"] for d in (3, 2))
     return [
         _result("strong-huygens d=3", c3, 1e-8, "inside-cone capacity vanishes"),
-        CheckResult("huygens-violation d=2", c2 >= 1e-3, float(c2), 1e-3,
-                    "inside-cone capacity >= 1e-3"),
+        _result("huygens-violation d=2", c2, 1e-3, "inside-cone capacity >= 1e-3", ">="),
     ]
 
 

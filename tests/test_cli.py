@@ -159,6 +159,16 @@ class TestCapacityCommand:
         for label, ref in zip(SUBSETS, TABLE1_D3):
             assert abs(report["capacities"][label]["capacity"] - ref) <= max(5e-3 * ref, 1e-8)
 
+    def test_each_call_sees_only_its_own_flags(self, tmp_path):
+        # the parser is shared between calls; the parsed settings are not
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["capacity", "--dim", "2", "--preset", "table1", "--log-base", "e",
+                     "--search-tol", "1e-6", "--out", str(first)]) == 0
+        assert main(["capacity", "--preset", "table1", "--out", str(second)]) == 0
+        a, b = (json.loads(p.read_text()) for p in (first, second))
+        assert (a["dimension"], a["log_base"], a["search_tol"]) == (2, "e", 1e-6)
+        assert (b["dimension"], b["log_base"], b["search_tol"]) == (3, "2", 1e-10)
+
     def test_log_base_disambiguation(self, tmp_path):
         ref_b2 = 0.00872886
         matches = []
@@ -501,3 +511,26 @@ class TestValidateCommand:
     def test_unknown_check_rejected(self, capsys):
         assert main(["validate", "--only", "nope"]) == 2
         assert "unknown checks" in capsys.readouterr().err
+
+    def test_lines_print_the_comparison_each_check_makes(self, capsys):
+        assert main(["validate", "--only", "superadditivity,huygens"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, bound in (("superadditivity d=3", "> 0.0e+00"), ("superadditivity d=2", "> 0.0e+00"),
+                            ("strong-huygens d=3", "<= 1.0e-08"), ("huygens-violation d=2", ">= 1.0e-03")):
+            line = next(line for line in lines if f"  {name}: " in line)
+            assert line.startswith(f"PASS  {name}: residual ") and f" ({bound})  [" in line, line
+
+
+def test_parser_is_built_once(monkeypatch):
+    assert main(["validate", "--only", "involution"]) == 0  # builds it, if no earlier call did
+    built = []
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", lambda *a, **k: built.append(a))
+    assert main(["validate", "--only", "involution"]) == 0
+    assert built == []
+
+
+def test_command_is_looked_up_when_it_runs(monkeypatch):
+    # a tracer that wraps `cmd_*` after the first call still sees every later one
+    assert main(["validate", "--only", "involution"]) == 0
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: 7)
+    assert main(["validate", "--only", "involution"]) == 7

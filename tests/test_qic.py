@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -361,6 +362,9 @@ class TestWeightingGrid:
                 fut.set_result(fn(*args))
                 return fut
 
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
         modes = build_qic(single_qic_scenario(3), 3)
         spec = GridSpec(axes=(GridAxis(-2.0, 2.0, 0.1), GridAxis(-2.0, 2.0, 0.1), 0.0))
@@ -371,6 +375,17 @@ class TestWeightingGrid:
         assert workers == [ncpu]
         one = weighting_grid(modes, 0, 2.0, spec, threads=1)
         assert np.array_equal(many.q_momentum, one.q_momentum)
+
+    def test_pool_error_reaches_caller_and_workers_exit(self):
+        # t = r_outer puts the shell's centre on a light-cone edge, where dI/dt
+        # diverges; the error comes out of the grid pool under its own name
+        gen = Generator(RadialSmearing.hard_shell(0.5, 1.25, (0.0, 0.0), 2), coupling_time=0.0)
+        spec = GridSpec(axes=(GridAxis(-1.0, 1.0, 0.5), GridAxis(-1.0, 1.0, 0.5)))
+        before = threading.active_count()
+        with pytest.raises(ConfigurationError, match=r"^dI/dt at r=0\.0, t=1\.25, coupling_time=0\.0: "
+                                                     r"diverges on a light-cone edge$"):
+            weighting_grid(build_qic([gen], 2), None, 1.25, spec, threads=2)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("d", (2, 3))
     def test_hard_shell_grid_is_translation_invariant(self, d):

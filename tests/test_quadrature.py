@@ -12,7 +12,6 @@ from qicsim.quadrature import (
     damped_tail_integral,
     expint,
     oscillatory_integral,
-    power_tail,
     power_tails,
     segment_integrals,
 )
@@ -149,16 +148,16 @@ def test_power_tail_sums_merged_terms_and_flags_divergence():
     # sin(k)^2 / k^2 = (2 - e^{2ik} - e^{-2ik}) / (4 k^2), its constant split over two
     # terms; int_3^inf = 1/6 - (cos(6) / 3 - pi + 2 Si(6)) / 2
     terms = (np.array([0.25, 0.25, -0.25, -0.25]), np.full(4, 2.0), np.array([0.0, -0.0, 2.0, -2.0]))
-    value, mag = power_tail(terms, 3.0)
+    value, mag = power_tails([(terms, 3.0)])[0]
     exact = 1.0 / 6.0 - 0.5 * (math.cos(6.0) / 3.0 - math.pi + 2.0 * sici(6.0)[0])
     assert value == pytest.approx(exact, rel=1e-14, abs=0.0)
     assert mag >= abs(value)
     with pytest.raises(ConfigurationError, match="diverges"):
-        power_tail((np.array([1.0]), np.array([1.0]), np.array([0.0])), 3.0)
+        power_tails([((np.array([1.0]), np.array([1.0]), np.array([0.0])), 3.0)])
     # omega = 0 terms that cancel exactly leave nothing to diverge
     cancelled = (np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]))
     alone = (np.array([1.0]), np.array([2.0]), np.array([1.0]))
-    assert power_tail(cancelled, 3.0) == power_tail(alone, 3.0)
+    assert power_tails([(cancelled, 3.0)]) == power_tails([(alone, 3.0)])
 
 
 
@@ -181,7 +180,7 @@ def test_power_tails_equal_one_call_per_plan():
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
         sets.append(((c, p, omega), float(rng.uniform(0.5, 40.0))))
     batched = power_tails(sets)
-    alone = [power_tail(*x) for x in sets]
+    alone = [power_tails([x])[0] for x in sets]
     assert [(v.real.hex(), v.imag.hex(), m.hex()) for v, m in batched] == \
         [(v.real.hex(), v.imag.hex(), m.hex()) for v, m in alone]
     assert power_tails([]) == []
@@ -191,7 +190,7 @@ def test_power_tails_equal_one_call_per_plan():
 def test_oscillatory_integral_of_sinc_squared(k_split):
     # int_0^inf sin^2 k / k^2 dk = pi / 2; the body's estimate covers the error
     terms = (np.array([0.5, -0.25, -0.25]), np.full(3, 2.0), np.array([0.0, 2.0, -2.0]))
-    tail, mag = power_tail(terms, k_split)
+    tail, mag = power_tails([(terms, k_split)])[0]
     value, err = oscillatory_integral(lambda k: np.sinc(k / np.pi) ** 2 + 0j,
                                       (tail, quadrature.ROUNDING * mag), k_split, 2.0)
     assert abs(value - math.pi / 2) <= err <= 1e-10 * math.pi / 2
