@@ -4,10 +4,8 @@ detectors on a massless scalar field in 2+1 and 3+1 dimensions."""
 from .channel import (
     CapacityResult,
     ChannelScenario,
-    OutcomeDistribution,
     capacity,
     capacity_table,
-    joint_distribution,
     make_channel_scenario,
     marginalize,
     mutual_information,
@@ -30,7 +28,7 @@ from .scenarios import (
     single_qic_scenario,
     table1_scenario,
 )
-from .smearing import RadialSmearing, ft_oracle, radial_ft, spatial_eval
+from .smearing import RadialSmearing, radial_ft
 
 __all__ = [
     "CapacityResult",
@@ -41,7 +39,6 @@ __all__ = [
     "GridAxis",
     "GridSpec",
     "NumericConsistencyError",
-    "OutcomeDistribution",
     "PairingMatrix",
     "QicModeSet",
     "QuadratureError",
@@ -50,8 +47,6 @@ __all__ = [
     "capacity",
     "capacity_table",
     "extended_gram",
-    "ft_oracle",
-    "joint_distribution",
     "make_channel_scenario",
     "marginalize",
     "mutual_information",
@@ -61,7 +56,6 @@ __all__ = [
     "radial_ft",
     "shockwave_scenario",
     "single_qic_scenario",
-    "spatial_eval",
     "table1_scenario",
     "weighting_grid",
 ]

@@ -54,20 +54,7 @@ def _check_receiver_count(n: int) -> None:
                                  f"the budget of {MAX_GRID_VALUES} values")
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Joint distribution over detector outcomes; axis i indexes detector i
-    with 0 = ground, 1 = excited."""
-
-    probs: np.ndarray
-    detectors: tuple[str, ...]
-
-    @property
-    def n_detectors(self) -> int:
-        return len(self.detectors)
-
-
-def _finalize_distribution(raw: np.ndarray, detectors) -> OutcomeDistribution:
+def _finalize_distribution(raw: np.ndarray) -> np.ndarray:
     if raw.min() < NEGATIVITY_FLOOR:
         raise NumericConsistencyError(
             f"outcome probability {raw.min():.3e} below clamping floor; "
@@ -79,7 +66,7 @@ def _finalize_distribution(raw: np.ndarray, detectors) -> OutcomeDistribution:
         raise NumericConsistencyError(
             f"outcome probabilities sum to {total!r}, expected 1"
         )
-    return OutcomeDistribution(probs=clamped / total, detectors=tuple(detectors))
+    return clamped / total
 
 
 @dataclass(frozen=True)
@@ -167,8 +154,9 @@ def scenario_moments(sc: ChannelScenario, tol: float = 1e-10) -> ChannelMoments:
     return ChannelMoments(noise_cov=cov, signal_im=sig, error_bound=worst)
 
 
-def distribution_from_moments(moments: ChannelMoments, couplings, lam_alice: float) -> OutcomeDistribution:
-    """Exact outcome distribution for any receiver count within the budget.
+def distribution_from_moments(moments: ChannelMoments, couplings, lam_alice: float) -> np.ndarray:
+    """Exact outcome distribution for any receiver count within the budget,
+    as a (2,) * n array: axis i is detector i, 0 = ground and 1 = excited.
 
     Detector i's sign pair (s_i, s'_i) enters only through
     c_i = lam_i (s_i - s'_i), and its outcome factor s_i s'_i is -1 exactly
@@ -200,40 +188,21 @@ def distribution_from_moments(moments: ChannelMoments, couplings, lam_alice: flo
     flipped = (outcomes @ moved.T) % 2 == 1
     signed = np.where(flipped, -weights, weights)
     raw = np.array([math.fsum(terms) for terms in signed]).reshape((2,) * n)
-    return _finalize_distribution(raw, [f"B{i + 1}" for i in range(n)])
+    return _finalize_distribution(raw)
 
 
-def joint_distribution(
-    sc: ChannelScenario,
-    bit: int,
-    moments: ChannelMoments | None = None,
-    tol: float = 1e-10,
-) -> OutcomeDistribution:
-    """Outcome distribution of the receivers given the sent bit."""
-    if bit not in (0, 1):
-        raise ConfigurationError("bit must be 0 or 1")
-    if moments is None:
-        moments = scenario_moments(sc, tol)
-    lam_alice = sc.alice.coupling * float(bit)
-    couplings = [b.coupling for b in sc.bobs]
-    return distribution_from_moments(moments, couplings, lam_alice)
-
-
-def marginalize(dist: OutcomeDistribution, subset) -> OutcomeDistribution:
-    """Distribution of a nonempty subset of detectors (others summed out)."""
+def marginalize(probs, subset) -> np.ndarray:
+    """Distribution of a nonempty subset of detectors (other axes summed out)."""
+    probs = np.asarray(probs)
     subset = tuple(subset)
     if not subset:
         raise ConfigurationError("subset must be nonempty")
     if len(set(subset)) != len(subset):
         raise ConfigurationError("subset has repeated detectors")
-    if any(i < 0 or i >= dist.n_detectors for i in subset):
+    if any(i < 0 or i >= probs.ndim for i in subset):
         raise ConfigurationError("subset index out of range")
-    keep = sorted(subset)
-    drop = tuple(i for i in range(dist.n_detectors) if i not in keep)
-    probs = dist.probs.sum(axis=drop) if drop else dist.probs
-    return OutcomeDistribution(
-        probs=probs, detectors=tuple(dist.detectors[i] for i in keep)
-    )
+    drop = tuple(i for i in range(probs.ndim) if i not in subset)
+    return probs.sum(axis=drop) if drop else probs
 
 
 def _log_base_value(base) -> float:
@@ -242,10 +211,6 @@ def _log_base_value(base) -> float:
     if base in ("e", math.e):
         return 1.0
     raise ConfigurationError("log base must be 2 or 'e'")
-
-
-def _flat(p) -> np.ndarray:
-    return np.asarray(p.probs if isinstance(p, OutcomeDistribution) else p).ravel()
 
 
 def _information(a0: np.ndarray, a1: np.ndarray, base):
@@ -275,7 +240,7 @@ def mutual_information(q: float, p0, p1, base=2) -> float:
     """
     if not 0.0 <= q <= 1.0:
         raise ConfigurationError("prior must lie in [0, 1]")
-    return _information(_flat(p0), _flat(p1), base)(q)
+    return _information(np.ravel(p0), np.ravel(p1), base)(q)
 
 
 def capacity(p0, p1, base=2, tol: float = 1e-10) -> tuple[float, float]:
@@ -283,7 +248,7 @@ def capacity(p0, p1, base=2, tol: float = 1e-10) -> tuple[float, float]:
     search converges.  The search ends when the bracket is within ``tol`` or
     stops shrinking (at rounding level).  Returns (capacity, maximising prior),
     the prior 0.5 where the capacity is 0."""
-    a0, a1 = _flat(p0), _flat(p1)
+    a0, a1 = np.ravel(p0), np.ravel(p1)
     if np.array_equal(a0, a1):
         return 0.0, 0.5
     f = _information(a0, a1, base)
@@ -312,13 +277,15 @@ def capacity(p0, p1, base=2, tol: float = 1e-10) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Capacities for every nonempty receiver subset of one scenario."""
+    """Capacities for every nonempty receiver subset of one scenario, with
+    the moments and the joint distributions (bits 0 and 1) they came from."""
 
     capacities: dict[str, float]
     priors: dict[str, float]
     log_base: str
     search_tol: float
-    moment_error_bound: float
+    moments: ChannelMoments
+    distributions: tuple[np.ndarray, np.ndarray]
 
 
 def capacity_table(
@@ -330,14 +297,13 @@ def capacity_table(
     """Joint distributions for both bits, then capacity per subset, in
     `receiver_subsets` order."""
     moments = scenario_moments(sc, tol)
-    p0 = joint_distribution(sc, 0, moments)
-    p1 = joint_distribution(sc, 1, moments)
+    couplings = [b.coupling for b in sc.bobs]
+    p0, p1 = (distribution_from_moments(moments, couplings, sc.alice.coupling * float(bit))
+              for bit in (0, 1))
     caps: dict[str, float] = {}
     priors: dict[str, float] = {}
     for subset in receiver_subsets(len(sc.bobs)):
-        m0 = marginalize(p0, subset)
-        m1 = marginalize(p1, subset)
-        c, q = capacity(m0, m1, base, search_tol)
+        c, q = capacity(marginalize(p0, subset), marginalize(p1, subset), base, search_tol)
         label = subset_label(subset)
         caps[label] = c
         priors[label] = q
@@ -346,5 +312,6 @@ def capacity_table(
         priors=priors,
         log_base="2" if _log_base_value(base) != 1.0 else "e",
         search_tol=search_tol,
-        moment_error_bound=moments.error_bound,
+        moments=moments,
+        distributions=(p0, p1),
     )

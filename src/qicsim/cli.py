@@ -85,10 +85,10 @@ def _typed(value, kind, what: str):
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, too long
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError("config file must contain a JSON object")
@@ -205,7 +205,7 @@ def cmd_capacity(args) -> int:
         "dimension": dim,
         "log_base": result.log_base,
         "search_tol": result.search_tol,
-        "pairing_error_bound": result.moment_error_bound,
+        "pairing_error_bound": result.moments.error_bound,
         "scenario": {
             "alice": _serialize_generator(scenario.alice),
             "bobs": [_serialize_generator(b) for b in scenario.bobs],
@@ -244,7 +244,7 @@ def cmd_evolve(args, forced_preset: str | None = None) -> int:
         t_setting = cfg["scenario"].get("times")
     if t_setting is None and pre is not None:
         times = list(pre.default_times)
-    elif t_setting is None:
+    elif t_setting is None or t_setting == []:
         raise ConfigurationError("no snapshot time: pass --t")
     else:
         times = [_number(t, "snapshot time 't'")

@@ -52,7 +52,6 @@ class Generator:
 class ExtendedGram:
     """Bilinear forms on the span of {O_a, f(O_a)} derived from pairings."""
 
-    pairing: PairingMatrix
     metric: np.ndarray
     symplectic: np.ndarray
 
@@ -74,7 +73,7 @@ def extended_gram(pairing: PairingMatrix) -> ExtendedGram:
     re, im = S.real, S.imag
     metric = np.block([[re, -im], [im, re]])
     symplectic = 2.0 * np.block([[im, re], [-re, im]])
-    return ExtendedGram(pairing=pairing, metric=metric, symplectic=symplectic)
+    return ExtendedGram(metric=metric, symplectic=symplectic)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import capacity_table, joint_distribution, marginalize, scenario_moments
+from .channel import capacity_table, marginalize
 from .errors import ConfigurationError
 from .field_kernel import pairing
 from .qic import Generator, build_qic, covariance_matrix, symplectic_gram
@@ -43,12 +43,9 @@ def _result(name, residual, threshold, note="", compare="<="):
 
 @functools.cache
 def _table1(d: int):
-    """table1's moments, outcome distributions for bits 0 and 1, and
-    capacities in dimension d, built once for every check that reads them."""
-    sc = table1_scenario(d)
-    moments = scenario_moments(sc)
-    dists = tuple(joint_distribution(sc, bit, moments) for bit in (0, 1))
-    return moments, dists, capacity_table(sc, base=2).capacities
+    """table1's capacity table in dimension d, with its moments and outcome
+    distributions, built once for every check that reads them."""
+    return capacity_table(table1_scenario(d), base=2)
 
 
 def check_closed_form_constants() -> list[CheckResult]:
@@ -137,24 +134,23 @@ def check_hermiticity() -> list[CheckResult]:
 
 
 def check_microcausality() -> list[CheckResult]:
-    return [_result(f"microcausality d={d}", abs(_table1(d)[0].signal_im[2]), 1e-9,
+    return [_result(f"microcausality d={d}", abs(_table1(d).moments.signal_im[2]), 1e-9,
                     "spacelike sender/outside-shell pairing") for d in (3, 2)]
 
 
 def check_normalization() -> list[CheckResult]:
     worst = 0.0
     for d in (3, 2):
-        for p in _table1(d)[1]:
-            worst = max(worst, abs(p.probs.sum() - 1.0), -min(p.probs.min(), 0.0))
+        for p in _table1(d).distributions:
+            worst = max(worst, abs(p.sum() - 1.0), -min(p.min(), 0.0))
     return [_result("distribution normalization", worst, 1e-10)]
 
 
 def check_no_signaling() -> list[CheckResult]:
     out = []
     for d in (3, 2):
-        p0, p1 = (marginalize(p, (2,)) for p in _table1(d)[1])
-        out.append(_result(f"no-signaling d={d}",
-                           float(np.abs(p0.probs - p1.probs).max()), 1e-9,
+        p0, p1 = (marginalize(p, (2,)) for p in _table1(d).distributions)
+        out.append(_result(f"no-signaling d={d}", float(np.abs(p0 - p1).max()), 1e-9,
                            "outside-detector marginals agree across bits"))
     return out
 
@@ -162,7 +158,7 @@ def check_no_signaling() -> list[CheckResult]:
 def check_superadditivity() -> list[CheckResult]:
     out = []
     for d in (3, 2):
-        c = _table1(d)[2]
+        c = _table1(d).capacities
         margin = min(
             c["B2B3"] - c["B2"],
             c["B1B2"] - c["B2"],
@@ -173,7 +169,7 @@ def check_superadditivity() -> list[CheckResult]:
 
 
 def check_huygens() -> list[CheckResult]:
-    c3, c2 = (_table1(d)[2]["B1"] for d in (3, 2))
+    c3, c2 = (_table1(d).capacities["B1"] for d in (3, 2))
     return [
         _result("strong-huygens d=3", c3, 1e-8, "inside-cone capacity vanishes"),
         _result("huygens-violation d=2", c2, 1e-3, "inside-cone capacity >= 1e-3", ">="),

@@ -9,13 +9,11 @@ from _twin import brute_force_distribution
 
 from qicsim.channel import (
     ChannelMoments,
-    OutcomeDistribution,
     _finalize_distribution,
     capacity,
     capacity_table,
     classify_receiver,
     distribution_from_moments,
-    joint_distribution,
     make_channel_scenario,
     marginalize,
     scenario_moments,
@@ -36,26 +34,22 @@ def shell_gen(d, r, rr, t, coupling=0.2):
 
 
 class TestJointDistribution:
-    def test_bit0_independent_of_sender(self, table1_3):
+    def test_bit0_independent_of_sender(self, table1_3, captable_3):
         other_alice = Generator(
             RadialSmearing.gaussian(0.3, (0.5, 0.0, 0.0), 3), 0.0, coupling=1.0
         )
         sc2 = make_channel_scenario(other_alice, table1_3.bobs, 3)
-        p_a = joint_distribution(table1_3, 0)
-        p_b = joint_distribution(sc2, 0)
-        assert np.array_equal(p_a.probs, p_b.probs)
+        p_a = captable_3.distributions[0]
+        p_b = capacity_table(sc2).distributions[0]
+        assert np.array_equal(p_a, p_b)
 
     def test_zero_couplings_leave_detectors_unexcited(self, table1_3):
         bobs = tuple(
             Generator(b.smearing, b.coupling_time, coupling=0.0) for b in table1_3.bobs
         )
         sc = make_channel_scenario(table1_3.alice, bobs, 3)
-        p = joint_distribution(sc, 1)
-        assert p.probs[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
-
-    def test_bad_bit_rejected(self, table1_3):
-        with pytest.raises(ConfigurationError):
-            joint_distribution(table1_3, 2)
+        p = capacity_table(sc).distributions[1]
+        assert p[0, 0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_brute_force_same_moments(self, moments_3):
         lams = [0.2, 0.2, 0.2]
@@ -65,7 +59,7 @@ class TestJointDistribution:
                 moments_3.noise_cov, moments_3.signal_im, lams, float(bit)
             )
             for z, p in twin.items():
-                assert ours.probs[z] == pytest.approx(p, abs=1e-12)
+                assert ours[z] == pytest.approx(p, abs=1e-12)
 
     def test_matches_brute_force_random_moments(self):
         rng = np.random.default_rng(51)
@@ -80,7 +74,7 @@ class TestJointDistribution:
                 twin = brute_force_distribution(V, m, lams, lam_a,
                                                 gaps=list(rng.uniform(0, 4, size=n)))
                 for z, p in twin.items():
-                    assert ours.probs[z] == pytest.approx(p, abs=1e-13)
+                    assert ours[z] == pytest.approx(p, abs=1e-13)
 
 
 def sign_sum_reference(V, m, couplings, lam_alice):
@@ -125,7 +119,7 @@ class TestClassSumMatchesTermByTerm:
 
     @pytest.fixture(autouse=True)
     def raw_sums(self, monkeypatch):
-        monkeypatch.setattr(channel, "_finalize_distribution", lambda raw, detectors: raw)
+        monkeypatch.setattr(channel, "_finalize_distribution", lambda raw: raw)
 
     @staticmethod
     def assert_same(V, m, lams, lam_a):
@@ -197,39 +191,36 @@ class TestDistributionValidation:
     def test_negative_beyond_floor_raises(self):
         raw = np.array([1.1, -1e-6]).reshape(2, 1)[:, 0]
         with pytest.raises(NumericConsistencyError):
-            _finalize_distribution(raw.reshape(2), ("B1",))
+            _finalize_distribution(raw.reshape(2))
 
     def test_tiny_negative_clamped(self):
         raw = np.array([1.0 + 5e-13, -5e-13])
-        dist = _finalize_distribution(raw, ("B1",))
-        assert dist.probs[1] == 0.0
-        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-15)
+        dist = _finalize_distribution(raw)
+        assert dist[1] == 0.0
+        assert dist.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_bad_normalization_raises(self):
         with pytest.raises(NumericConsistencyError):
-            _finalize_distribution(np.array([0.7, 0.2]), ("B1",))
+            _finalize_distribution(np.array([0.7, 0.2]))
 
 
 class TestMarginalize:
-    def test_full_subset_is_identity(self, table1_3):
-        p = joint_distribution(table1_3, 1)
+    def test_full_subset_is_identity(self, captable_3):
+        p = captable_3.distributions[1]
         m = marginalize(p, (0, 1, 2))
-        assert np.array_equal(m.probs, p.probs)
+        assert np.array_equal(m, p)
 
     def test_uniform_marginal(self):
         probs = np.full((2, 2, 2), 1.0 / 8.0)
-        p = OutcomeDistribution(probs=probs, detectors=("B1", "B2", "B3"))
-        m = marginalize(p, (1,))
-        assert np.allclose(m.probs, [0.5, 0.5])
-        assert m.detectors == ("B2",)
+        m = marginalize(probs, (1,))
+        assert np.allclose(m, [0.5, 0.5])
 
-    def test_no_signaling_outside_detector(self, table1_2, moments_2):
-        p0 = marginalize(joint_distribution(table1_2, 0, moments_2), (2,))
-        p1 = marginalize(joint_distribution(table1_2, 1, moments_2), (2,))
-        assert np.abs(p0.probs - p1.probs).max() <= 1e-9
+    def test_no_signaling_outside_detector(self, captable_2):
+        p0, p1 = (marginalize(p, (2,)) for p in captable_2.distributions)
+        assert np.abs(p0 - p1).max() <= 1e-9
 
-    def test_empty_subset_rejected(self, table1_3):
-        p = joint_distribution(table1_3, 0)
+    def test_empty_subset_rejected(self, captable_3):
+        p = captable_3.distributions[0]
         with pytest.raises(ConfigurationError):
             marginalize(p, ())
         with pytest.raises(ConfigurationError):
@@ -408,7 +399,7 @@ def test_table1_bits_are_pinned(dim, request):
     assert [table.priors[k].hex() for k in labels] == want["priors"]
     assert [x.hex() for x in moments.noise_cov.ravel().tolist()] == want["noise_cov"]
     assert [x.hex() for x in moments.signal_im.tolist()] == want["signal_im"]
-    assert moments.error_bound.hex() == table.moment_error_bound.hex() == want["error_bound"]
+    assert moments.error_bound.hex() == table.moments.error_bound.hex() == want["error_bound"]
 
 
 class TestCapacityTable:
@@ -485,7 +476,7 @@ class TestScenarioConstruction:
             distribution_from_moments(ChannelMoments(np.eye(9), np.zeros(9), 0.0), [0.2] * 9, 1.0)
         # eight receivers fit the budget
         p = distribution_from_moments(ChannelMoments(np.eye(8), np.zeros(8), 0.0), [0.2] * 8, 1.0)
-        assert p.probs.shape == (2,) * 8
+        assert p.shape == (2,) * 8
 
     def test_shared_decoding_time(self, table1_3):
         bobs = list(table1_3.bobs)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qicsim import cli
+from qicsim import channel, cli, validate
 from qicsim.cli import main
 from qicsim.qic import FieldGrid, GridAxis, GridSpec
 
@@ -435,6 +435,10 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
     (["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:inf:1,y=0,z=0"],
      None, "inf"),
     (["capacity"], '{"dimension": 3,', "not valid JSON"),
+    (["capacity"], b"\xff\xfe", "not valid JSON"),
+    (["capacity"], "[" * 100000 + "]" * 100000, "not valid JSON"),
+    # over-long integers are refused by the parser or, failing that, as a dimension
+    (["capacity"], '{"dimension": 1' + "0" * 5000 + "}", "config"),
     (["capacity"], {"scenario": {"bobs": [_SHELL] * 3}}, "'alice'"),
     (_EVOLVE, {"scenario": {"generators": [{k: v for k, v in _SHELL.items() if k != "r_outer"}]}},
      "'r_outer'"),
@@ -452,6 +456,9 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
     (["capacity", "--preset", "table1"], {"dimension": 2.5}, "'dimension'"),
     (_SINGLE, {"threads": 1.9}, "'threads'"),
     (_SINGLE[:3] + _SINGLE[5:], {"t": True}, "'t'"),
+    (_SINGLE[:3] + _SINGLE[5:], {"t": []}, "no snapshot time"),
+    (_EVOLVE[:1] + _EVOLVE[3:], {"scenario": {"generators": [_GAUSS], "times": []}},
+     "no snapshot time"),
     (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "coupling": True}]}}, "'coupling'"),
     (["capacity", "--preset", "table1"], '{"dimension": Infinity}', "'dimension'"),
     (_SINGLE, '{"threads": Infinity}', "'threads'"),
@@ -471,11 +478,12 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
     (["evolve", "--t", "1e308", "--grid", "x=0:1:0.5,y=0,z=0"],
      {"scenario": {"generators": [{**_GAUSS, "t": -1e308}]}},
      "mode function at t=1e+308, coupling_time=-1e+308: the time difference overflows"),
-], ids=["grid-value", "grid-inf", "config-json", "no-alice", "no-r-outer", "sigma-text",
-        "center-number", "alice-number", "bobs-number", "bobs-empty", "bobs-over-budget",
+], ids=["grid-value", "grid-inf", "config-json", "config-not-utf8", "config-deep", "config-long-int",
+        "no-alice", "no-r-outer", "sigma-text", "center-number", "alice-number", "bobs-number", "bobs-empty", "bobs-over-budget",
         "generators-number",
         "generator-number", "grid-number", "out-number", "dimension-fraction",
-        "threads-fraction", "t-boolean", "coupling-boolean", "dimension-inf", "threads-inf",
+        "threads-fraction", "t-boolean", "t-empty", "times-empty", "coupling-boolean",
+        "dimension-inf", "threads-inf",
         "search-tol-zero", "search-tol-negative", "search-tol-nan", "tol-zero", "tol-negative",
         "tol-nan", "evolve-tol-nan", "grid-too-large", "centres-overflow",
         "time-overflow"])
@@ -483,7 +491,10 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, argv, config, named
     argv = argv + ["--out", str(tmp_path / "out")]
     if config is not None:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        if isinstance(config, bytes):
+            cfg.write_bytes(config)
+        else:
+            cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         argv += ["--config", str(cfg)]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -519,6 +530,18 @@ class TestValidateCommand:
                             ("strong-huygens d=3", "<= 1.0e-08"), ("huygens-violation d=2", ">= 1.0e-03")):
             line = next(line for line in lines if f"  {name}: " in line)
             assert line.startswith(f"PASS  {name}: residual ") and f" ({bound})  [" in line, line
+
+    def test_table1_checks_build_moments_once_per_dimension(self, monkeypatch):
+        # every table1 check reads the one capacity table of its dimension
+        real, calls = channel.scenario_moments, []
+        for mod in (channel, validate):  # wherever the name is bound
+            monkeypatch.setattr(mod, "scenario_moments",
+                                lambda *a, **k: calls.append(a) or real(*a, **k), raising=False)
+        validate._table1.cache_clear()
+        results = validate.run_checks(["microcausality", "normalization", "no-signaling",
+                                       "superadditivity", "huygens"])
+        assert len(results) == 9 and all(r.passed for r in results)
+        assert len(calls) == 2
 
 
 def test_parser_is_built_once(monkeypatch):
