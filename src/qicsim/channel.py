@@ -25,8 +25,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericConsistencyError, naming
-from .field_kernel import pairing_detail, pairing_tails
+from .errors import ConfigurationError, NumericConsistencyError
+from .field_kernel import pairings
 from .qic import MAX_GRID_VALUES, Generator
 from .smearing import HARD_SHELL, support_radius
 
@@ -142,10 +142,8 @@ def scenario_moments(sc: ChannelScenario, tol: float = 1e-10) -> ChannelMoments:
     gens = (*sc.bobs, sc.alice)  # the sender is index n
     pairs = [(i, j) for i in range(n) for j in range(i, n)] + [(i, n) for i in range(n)]
     names = [f"pairing (bob {i}, {'alice' if j == n else f'bob {j}'})" for i, j in pairs]
-    tails = pairing_tails([(gens[i], gens[j]) for i, j in pairs], sc.dimension, names)
-    for (i, j), name, tail in zip(pairs, names, tails):
-        with naming(name):
-            val, err = pairing_detail(gens[i], gens[j], sc.dimension, tol, tail)
+    values = pairings([(gens[i], gens[j]) for i, j in pairs], sc.dimension, names, tol)
+    for (i, j), (val, err) in zip(pairs, values):
         if j == n:
             sig[i] = val.imag
         else:

@@ -31,7 +31,7 @@ from .validate import run_checks
 
 _CONFIG_KEYS = {
     "dimension", "scenario", "preset", "t", "grid", "log_base", "tol",
-    "search_tol", "threads", "out", "degeneracy_eps",
+    "search_tol", "threads", "out",
 }
 
 _GEN_KEYS = {"kind", "sigma", "r_inner", "r_outer", "center", "t", "coupling", "amplitude"}
@@ -260,10 +260,9 @@ def cmd_evolve(args, forced_preset: str | None = None) -> int:
 
     tol = _tolerance(args, cfg, "tol")
     threads = _setting(args, cfg, "threads", 1, int)
-    eps = _setting(args, cfg, "degeneracy_eps", 1e-10, float)
     out_base = _setting(args, cfg, "out")
 
-    modes = build_qic(generators, dim, degeneracy_eps=eps, tol=tol)
+    modes = build_qic(generators, dim, tol=tol)
     sigma = _sigma_scale(generators)
     name = pre.name if pre is not None else "custom"
     for t in times:
@@ -394,10 +393,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, QuadratureError, NumericConsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigurationError, QuadratureError, NumericConsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,7 +42,7 @@ from scipy.special import dawsn, j0
 from .errors import ConfigurationError, QuadratureError, naming
 from .quadrature import (ROUNDING, _gauss_legendre, _merged, certified_rule, damped_tail_integral,
                          oscillatory_integral, power_tails)
-from .smearing import GAUSSIAN, HARD_SHELL, ft_frequencies, ft_gauss_decay, radial_ft, support_radius
+from .smearing import GAUSSIAN, HARD_SHELL, ft_frequencies, ft_gauss_decay, radial_ft
 
 
 @dataclass
@@ -374,11 +374,11 @@ def _pair_setup(gen_i, gen_j, d: int):
     return profiles, *_pair_geometry(gen_i, gen_j)
 
 
-def pairing_tails(pairs, d: int, names) -> list:
-    """`pairing_detail`'s ``tail`` for each pair of generators: d=2 hard-shell
-    pairs are planned under their ``names`` and evaluated by one `_tails` call
-    (pair by pair if that raises, so that the error names its pair); other
-    pairs, and an overflowing time (`radial_integral` refuses it), get None."""
+def pairings(pairs, d: int, names, tol: float = 1e-10) -> list:
+    """`pairing_detail`'s (value, estimate) of each pair of generators under its
+    ``names``.  d=2 hard-shell pairs' tails are planned first and evaluated by
+    one `_tails` call (pair by pair if that raises, so that the error names its
+    pair); other pairs, and an overflowing time, take no tail."""
     plans = []
     for (gen_i, gen_j), name in zip(pairs, names):
         with naming(name):
@@ -386,17 +386,22 @@ def pairing_tails(pairs, d: int, names) -> list:
             plain = d == 2 and math.isfinite(tau) and all(s.kind == HARD_SHELL for s in profiles)
             plans.append(_tail_plan(d, dx, tau, profiles) if plain else None)
     try:
-        return list(_tails(plans))
+        tails = list(_tails(plans))
     except (ConfigurationError, QuadratureError):
         for plan, name in zip(plans, names):
             with naming(name):
                 list(_tails([plan]))
         raise
+    values = []
+    for (gen_i, gen_j), name, tail in zip(pairs, names, tails):
+        with naming(name):
+            values.append(pairing_detail(gen_i, gen_j, d, tol, tail))
+    return values
 
 
 def pairing_detail(gen_i, gen_j, d: int, tol: float = 1e-10, tail=None) -> tuple[complex, float]:
     """Pairing S_ij with its error estimate (`radial_integral`, given the
-    pair's ``tail`` from `pairing_tails`, if any); for two d=3 hard shells
+    pair's ``tail`` from `pairings`, if any); for two d=3 hard shells
     the finite-part sum's scale is sqrt(S_ii S_jj), from the self-pairings'
     sums less their rounding bounds (`_self_floor`)."""
     profiles, dx, tau = _pair_setup(gen_i, gen_j, d)
@@ -421,41 +426,18 @@ def pairing_damped(gen_i, gen_j, d: int) -> tuple[complex, float]:
 
 
 def pairing_matrix(generators, d: int, tol: float = 1e-10) -> PairingMatrix:
-    """Build the full pairing matrix; upper triangle computed (tails first, by
-    `pairing_tails`), mirrored by Hermitian symmetry (errors too)."""
+    """Build the full pairing matrix; upper triangle computed (by one
+    `pairings` call), mirrored by Hermitian symmetry (errors too)."""
     n = len(generators)
     entries = np.zeros((n, n), dtype=complex)
     errors = np.zeros((n, n), dtype=float)
     upper = [(i, j) for i in range(n) for j in range(i, n)]
-    names = [f"pairing ({i}, {j})" for i, j in upper]
-    tails = pairing_tails([(generators[i], generators[j]) for i, j in upper], d, names)
-    for (i, j), name, tail in zip(upper, names, tails):
-        with naming(name):
-            val, err = pairing_detail(generators[i], generators[j], d, tol, tail)
+    values = pairings([(generators[i], generators[j]) for i, j in upper], d,
+                      [f"pairing ({i}, {j})" for i, j in upper], tol)
+    for (i, j), (val, err) in zip(upper, values):
         entries[j, i], entries[i, j] = np.conjugate(val), val  # the diagonal keeps val
         errors[i, j] = errors[j, i] = err
     return PairingMatrix(entries=entries, errors=errors, dimension=d)
-
-
-def spacelike_separated(gen_i, gen_j) -> bool:
-    """True when the supports cannot be connected by a causal curve.
-
-    Gaussian profiles have unbounded support and never qualify.  For two
-    annular supports the set distance is the largest of: outer surfaces
-    apart, or one annulus inside the other's hole.
-    """
-    si, sj = gen_i.smearing, gen_j.smearing
-    if not (math.isfinite(support_radius(si)) and math.isfinite(support_radius(sj))):
-        return False
-    dx, _ = _pair_geometry(gen_i, gen_j)
-    dist = max(
-        0.0,
-        dx - si.r_outer - sj.r_outer,
-        si.r_inner - dx - sj.r_outer,
-        sj.r_inner - dx - si.r_outer,
-    )
-    dt = abs(gen_i.coupling_time - gen_j.coupling_time)
-    return dist > dt
 
 
 # --------------------------------------------------------------------------
@@ -542,18 +524,19 @@ class ModeProfileEvaluator:
     This is the one mode-function path: Gaussian profiles use the closed
     form (d=3) or one node set (d=2), hard shells the exact finite-part
     sum (d=3) or the body-plus-exact-tail quadrature (d=2); a single radius r is
-    ``evaluate([r])``.  The d=2 node set is the n-node set of the one
-    node-doubling rule (`_certified_nodes`), certified at construction at
-    r = 0 and the largest radius that will be requested.  Results are
-    independent of how callers chunk the radii -- grid evaluations stay
-    bit-identical under any threading.
+    ``evaluate([r])``.  ``radii`` holds every radius `evaluate` will get, in
+    any shape.  The d=2 node set is the n-node set of the one node-doubling
+    rule (`_certified_nodes`), certified at construction at r = 0 and the
+    largest of the ``radii``.  `evaluate` sends its distinct radii through
+    ``rows(fn, r)``, which also computes any table's rows (`qic.weighting_grid`
+    splits both over its pool); each radius gets the same bits however they
+    are split, so grid evaluations stay bit-identical under any threading.
 
     The node set's sum, of J0(k r) with k up to its largest node, is
     interpolated from a Chebyshev table on [0, dx_max] (`_chebyshev_table`)
-    where that costs less: ``distinct`` K > (2n - 1)(K + ``distinct``) for K
-    nodes, ``distinct`` radii to come and 2n - 1 points.  A radius outside
-    [0, dx_max] then raises `ConfigurationError`.  ``rows(fn, r)`` computes
-    the table's rows (`qic.weighting_grid` splits them over its pool).
+    where that costs less: D K > (2n - 1)(K + D) for K nodes, D distinct
+    ``radii`` up to dx_max and 2n - 1 points.  A radius outside [0, dx_max]
+    then raises `ConfigurationError`.
 
     Hard shells go through `radial_integral` radius by radius, on the terms
     of `_expansion`.  In d=3 its scale is the sum of |terms| at r = 0 for
@@ -564,12 +547,13 @@ class ModeProfileEvaluator:
     does a radius too close to a centre on such an edge (`_tail_plan`).
     """
 
-    def __init__(self, gen, t: float, d: int, dx_max: float, tol: float = 1e-10,
-                 distinct: int = 1, rows=lambda fn, r: fn(r)):
+    def __init__(self, gen, t: float, d: int, radii, tol: float = 1e-10,
+                 rows=lambda fn, r: fn(r)):
         self.gen = gen
         self.t = float(t)
         self.d = int(d)
         self.tol = tol
+        self._rows = rows
         self._tau = tau = self.t - gen.coupling_time  # e^{-ik(t0 - t)} = e^{ik tau}
         where = f"mode function at t={self.t}, coupling_time={gen.coupling_time}"
         if not math.isfinite(tau):
@@ -582,14 +566,15 @@ class ModeProfileEvaluator:
                                       for der in (False, True))
         self._nodes = self._table = None
         if s.kind == GAUSSIAN and d == 2:
+            u = np.unique(radii)
             with naming(where):
-                self._nodes, _, estimate = _certified_nodes(2, tau, (s,), np.array([0.0, dx_max]),
+                self._nodes, _, estimate = _certified_nodes(2, tau, (s,), np.array([0.0, u[-1]]),
                                                             tol, (False, True))
-            self._table = self._chebyshev_table(dx_max, distinct, rows, estimate)
+            self._table = self._chebyshev_table(float(u[-1]), len(u), estimate)
 
-    def _chebyshev_table(self, dx_max: float, distinct: int, rows, estimate):
+    def _chebyshev_table(self, dx_max: float, distinct: int, estimate):
         """(points, values) of I and dI/dt at 2n - 1 Chebyshev points of the
-        second kind on [0, dx_max], or None where the direct sums cost less.
+        second kind on [0, dx_max], or None where ``distinct`` direct sums cost less.
         n starts at the smallest 2^j + 1 >= k_K dx_max / 2 and doubles to
         2n - 1 until the n-point interpolant meets the other n - 1 values
         within tol sum|w f| less the node set's ``estimate``; the points are
@@ -602,9 +587,9 @@ class ModeProfileEvaluator:
         while dx_max > 0.0 and distinct * len(k) > (2 * n - 1) * (len(k) + distinct):
             points = dx_max * np.sin(np.arange(2 * n - 1) * (0.25 * math.pi / (n - 1))) ** 2
             if values is None:
-                values = rows(self._direct, points[::2])
+                values = self._rows(self._direct, points[::2])
             table = np.empty((2 * n - 1, 2), dtype=complex)
-            table[::2], table[1::2] = values, rows(self._direct, points[1::2])
+            table[::2], table[1::2] = values, self._rows(self._direct, points[1::2])
             miss = np.abs(_barycentric(points[::2], values, points[1::2]) - table[1::2])
             if np.all(miss.max(axis=0) <= room):
                 return points, table
@@ -621,36 +606,36 @@ class ModeProfileEvaluator:
         return sums
 
     def evaluate(self, dx) -> tuple[np.ndarray, np.ndarray]:
-        """I and dI/dt at the radii ``dx`` (any shape), evaluated once per
-        distinct radius and scattered back (lattice grids share radii)."""
+        """I and dI/dt at the radii ``dx`` (any shape): one `np.unique`, the
+        distinct radii through ``rows`` and the values scattered back
+        (lattice grids share radii)."""
         dx = np.asarray(dx, dtype=float)
         u, inv = np.unique(dx, return_inverse=True)
-        I, dI = self._evaluate_distinct(u)
-        return I[inv].reshape(dx.shape), dI[inv].reshape(dx.shape)
+        I, dI = self._rows(self._evaluate_distinct, u).T[:, inv.ravel()]
+        return I.reshape(dx.shape), dI.reshape(dx.shape)
 
-    def _evaluate_distinct(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _evaluate_distinct(self, u: np.ndarray) -> np.ndarray:
+        """I and dI/dt at the sorted radii u, as the two columns of one array."""
         gen = self.gen
         if self._gaussian_closed:
             T = gen.coupling_time - self.t
-            return _gaussian_mode_closed(gen.smearing.sigma, T, u, gen.smearing.amplitude)
+            return np.stack(_gaussian_mode_closed(gen.smearing.sigma, T, u, gen.smearing.amplitude),
+                            axis=1)
         if self._table is not None:
             points, values = self._table
             bad = u[~((u >= 0.0) & (u <= points[-1]))]
             if len(bad):
                 raise ConfigurationError(f"I at r={bad[0]}, t={self.t}, coupling_time={gen.coupling_time}"
                                          f": outside [0, {points[-1]}], the interpolated range")
-            sums = _barycentric(points, values, u)
-            return sums[:, 0], sums[:, 1]
+            return _barycentric(points, values, u)
         if self._nodes is not None:
-            sums = self._direct(u)
-            return sums[:, 0], sums[:, 1]
-        I = np.empty(u.shape, dtype=complex)
-        dI = np.empty(u.shape, dtype=complex)
+            return self._direct(u)
+        out = np.empty((len(u), 2), dtype=complex)
         # hard shells: per-radius finite-part sum (d=3) or quadrature
         for i, r in enumerate(u):
-            for out, derivative in ((I, False), (dI, True)):
-                with naming(f"{'dI/dt' if derivative else 'I'} at r={float(r)}, t={self.t}, "
+            for col, der in enumerate((False, True)):
+                with naming(f"{'dI/dt' if der else 'I'} at r={float(r)}, t={self.t}, "
                             f"coupling_time={gen.coupling_time}"):
-                    out[i], _ = radial_integral(self.d, float(r), self._tau, (gen.smearing,),
-                                                derivative, self.tol, self._shell_scale[derivative])
-        return I, dI
+                    out[i, col] = radial_integral(self.d, float(r), self._tau, (gen.smearing,), der,
+                                                  self.tol, self._shell_scale[der])[0]
+        return out

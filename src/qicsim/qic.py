@@ -26,6 +26,10 @@ from .errors import ConfigurationError, NumericConsistencyError
 from .field_kernel import ModeProfileEvaluator, PairingMatrix, pairing_matrix
 from .smearing import RadialSmearing
 
+# a generator whose remainder norm alpha^2 falls below this fraction of 2<O^2>
+# is linearly dependent on the modes before it and is skipped
+DEGENERACY_EPS = 1e-10
+
 # grid points x generators that `weighting_grid` accepts; each costs <= 0.25 kB at
 # peak (measured at 0.5 M points), so ~1 GB at the budget
 MAX_GRID_VALUES = 1 << 22
@@ -110,7 +114,6 @@ class QicModeSet:
 def build_qic(
     generators,
     d: int | None = None,
-    degeneracy_eps: float = 1e-10,
     *,
     pairing: PairingMatrix | None = None,
     tol: float = 1e-10,
@@ -120,7 +123,7 @@ def build_qic(
     Each step removes from O_i its overlap with the modes already built
     (coefficients beta, gamma read off the symplectic form) and normalises
     the remainder; generators whose remainder norm alpha_i^2 falls below
-    ``degeneracy_eps`` relative to 2<O_i^2> are recorded as skipped.  A
+    `DEGENERACY_EPS` relative to 2<O_i^2> are recorded as skipped.  A
     remainder norm significantly below zero signals inaccurate pairings and
     raises `NumericConsistencyError`.
     """
@@ -160,7 +163,7 @@ def build_qic(
             gammas[i, m] = g
             resid -= b * qm + g * pm
             alpha2 -= b * b + g * g
-        if alpha2 <= degeneracy_eps * norm2:
+        if alpha2 <= DEGENERACY_EPS * norm2:
             if alpha2 < -1e-8 * norm2:
                 raise NumericConsistencyError(
                     f"generator {i}: mode norm {alpha2:.3e} is negative beyond "
@@ -307,13 +310,13 @@ def weighting_grid(
 ) -> FieldGrid:
     """Sample the four weighting functions of one mode (or all modes).
 
-    Each generator's distinct radii are sorted and split into 4 * ``threads``
-    chunks that `Executor.map` hands to ``threads`` workers (capped at this
-    process's CPUs), the same way at every thread count; equal radii share a
-    chunk, so each distinct radius is evaluated once and shared across modes.
-    The evaluator chooses its path from the distinct-radius count and builds
-    any table's rows in the same pool.  The field components come from the
-    exact time-derivative integral.
+    One `ModeProfileEvaluator` per generator is given every grid radius and
+    evaluates them in one call, so each distinct radius is evaluated once and
+    shared across modes.  The evaluator splits its distinct radii, and any
+    table's rows, into 4 * ``threads`` parts that `Executor.map` hands to
+    ``threads`` workers (capped at this process's CPUs), the same way at
+    every thread count.  The field components come from the exact
+    time-derivative integral.
     """
     from concurrent.futures import ThreadPoolExecutor  # looked up per call, so it can be patched
 
@@ -326,6 +329,8 @@ def weighting_grid(
         raise ConfigurationError(f"threads must be at least 1, got {threads}")
     threads = min(threads, len(os.sched_getaffinity(0)))
     if mode_index is None:
+        if modes.n_modes == 0:
+            raise ConfigurationError("no mode to sample: every generator was skipped")
         selected = list(range(modes.n_modes))
     else:
         if not 0 <= mode_index < modes.n_modes:
@@ -344,20 +349,14 @@ def weighting_grid(
     k = len(modes.generators)
     v1, v2, u1, u2 = np.empty((4, k, len(pts)))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        def rows(fn, r):  # an evaluator's table rows, split over the pool like the radii
+        def rows(fn, r):  # an evaluator's distinct radii and table rows, split over the pool
             return np.concatenate(list(pool.map(fn, np.array_split(r, 4 * threads))))
 
         for j, gen in enumerate(modes.generators):
             dx = np.linalg.norm(pts - np.asarray(gen.smearing.center), axis=1)
-            order = np.argsort(dx, kind="stable")
-            starts = np.flatnonzero(np.diff(dx[order], prepend=-1.0))  # where each radius begins
-            ev = ModeProfileEvaluator(gen, t, d, float(dx.max()), tol=tol, distinct=len(starts),
-                                      rows=rows)
-            cuts = [part[0] for part in np.array_split(starts, 4 * threads)[1:] if len(part)]
-            chunks = np.split(order, cuts)
-            for c, (I, dI) in zip(chunks, pool.map(ev.evaluate, [dx[c] for c in chunks])):
-                v1[j, c], v2[j, c] = 2.0 * dI.imag, -2.0 * I.imag
-                u1[j, c], u2[j, c] = -2.0 * dI.real, 2.0 * I.real
+            I, dI = ModeProfileEvaluator(gen, t, d, dx, tol=tol, rows=rows).evaluate(dx)
+            v1[j], v2[j] = 2.0 * dI.imag, -2.0 * I.imag
+            u1[j], u2[j] = -2.0 * dI.real, 2.0 * I.real
 
     shape = spec.shape
 

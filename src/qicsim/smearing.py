@@ -75,19 +75,6 @@ class RadialSmearing:
         return cls.hard_shell(0.0, radius, center, dimension, amplitude)
 
 
-def spatial_eval(s: RadialSmearing, x) -> float:
-    """Profile value v(x)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (s.dimension,):
-        raise ConfigurationError(
-            f"point has shape {x.shape}, expected ({s.dimension},)"
-        )
-    r = float(np.linalg.norm(x - np.asarray(s.center)))
-    if s.kind == GAUSSIAN:
-        return s.amplitude * math.exp(-(r * r) / (2.0 * s.sigma**2))
-    return s.amplitude if s.r_inner < r < s.r_outer else 0.0
-
-
 # the closed shell forms lose ~(eps / x^2) relative digits to cancellation
 # at small x = k a; below x = 1e-2 the truncated series is the more
 # accurate branch (both sides are ~1e-11 relative at the crossover)

@@ -22,7 +22,7 @@ from qicsim.channel import (
     subset_label,
 )
 import qicsim.channel as channel
-from qicsim import quadrature
+from qicsim import field_kernel, quadrature
 from qicsim.errors import ConfigurationError, NumericConsistencyError, QuadratureError
 from qicsim.field_kernel import pairing
 from qicsim.qic import Generator
@@ -145,7 +145,7 @@ class TestClassSumMatchesTermByTerm:
 @pytest.mark.parametrize("bad, label", [((1, 2), "bob 1, bob 2"), ((2, None), "bob 2, alice")],
                          ids=["bob-bob", "bob-alice"])
 def test_moment_stall_names_the_pair(table1_3, monkeypatch, bad, label):
-    real = channel.pairing_detail
+    real = field_kernel.pairing_detail
     i, j = bad
     culprit = (table1_3.bobs[i], table1_3.alice if j is None else table1_3.bobs[j])
 
@@ -154,13 +154,13 @@ def test_moment_stall_names_the_pair(table1_3, monkeypatch, bad, label):
             raise QuadratureError("radial integral stalled", value=1 + 2j, estimate=0.5)
         return real(gi, gj, d, tol, tail)
 
-    monkeypatch.setattr(channel, "pairing_detail", stalling)
+    monkeypatch.setattr(field_kernel, "pairing_detail", stalling)
     with pytest.raises(QuadratureError, match=rf"^pairing \({label}\): radial integral stalled$") as info:
         scenario_moments(table1_3)
     assert (info.value.value, info.value.estimate) == (1 + 2j, 0.5)
     assert isinstance(info.value.__cause__, QuadratureError)
     calls = []
-    monkeypatch.setattr(channel, "pairing_detail", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(field_kernel, "pairing_detail", lambda *a: calls.append(a) or real(*a))
     scenario_moments(table1_3)
     assert len(calls) == 9
 
@@ -468,7 +468,7 @@ class TestScenarioConstruction:
 
     def test_receivers_over_budget_refused_before_any_pairing(self, table1_3, monkeypatch):
         calls = []
-        monkeypatch.setattr(channel, "pairing_detail", lambda *a: calls.append(a))
+        monkeypatch.setattr(field_kernel, "pairing_detail", lambda *a: calls.append(a))
         with pytest.raises(ConfigurationError, match="^9 receivers: the 2\\^9 x 3\\^9 sign table"):
             make_channel_scenario(table1_3.alice, table1_3.bobs * 3, 3)
         assert calls == []

@@ -478,6 +478,11 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
     (["evolve", "--t", "1e308", "--grid", "x=0:1:0.5,y=0,z=0"],
      {"scenario": {"generators": [{**_GAUSS, "t": -1e308}]}},
      "mode function at t=1e+308, coupling_time=-1e+308: the time difference overflows"),
+    # the mode recursion's degeneracy threshold is a constant, not a setting
+    (_EVOLVE, '{"degeneracy_eps": NaN, "scenario": {"generators": [%s, %s]}}'
+     % (json.dumps(_GAUSS), json.dumps(_GAUSS)), "unknown config keys: ['degeneracy_eps']"),
+    (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "amplitude": 0}]}},
+     "no mode to sample: every generator was skipped"),
 ], ids=["grid-value", "grid-inf", "config-json", "config-not-utf8", "config-deep", "config-long-int",
         "no-alice", "no-r-outer", "sigma-text", "center-number", "alice-number", "bobs-number", "bobs-empty", "bobs-over-budget",
         "generators-number",
@@ -486,7 +491,7 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
         "dimension-inf", "threads-inf",
         "search-tol-zero", "search-tol-negative", "search-tol-nan", "tol-zero", "tol-negative",
         "tol-nan", "evolve-tol-nan", "grid-too-large", "centres-overflow",
-        "time-overflow"])
+        "time-overflow", "degeneracy-eps", "no-mode"])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, argv, config, named):
     argv = argv + ["--out", str(tmp_path / "out")]
     if config is not None:

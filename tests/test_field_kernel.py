@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import hyp2f1
 
+from oracles import spacelike_separated
 from qicsim.errors import ConfigurationError, QuadratureError
 from qicsim.field_kernel import (
     ModeProfileEvaluator,
@@ -14,14 +15,12 @@ from qicsim.field_kernel import (
     _pair_geometry,
     _radial_integrand,
     _tail_plan,
-    _tails,
     pairing,
     pairing_damped,
     pairing_detail,
     pairing_matrix,
-    pairing_tails,
+    pairings,
     radial_integral,
-    spacelike_separated,
 )
 from qicsim.qic import Generator
 from qicsim.quadrature import MAX_SEGMENTS, segment_integrals
@@ -400,9 +399,15 @@ class TestSamplesAndEvaluators:
             assert iv == one[0] and div == one_dt[0]
 
 
+def spread(dx_max, count=10**4):
+    """``count`` distinct radii on [0, dx_max]; the default selects the
+    Chebyshev table for every case below."""
+    return np.linspace(0.0, dx_max, count)
+
+
 class TestChebyshevInterpolation:
     """d=2 Gaussian mode functions interpolated in r from a Chebyshev table;
-    a declared count of 10^7 distinct radii selects that path."""
+    10^4 distinct radii (`spread`) select that path."""
 
     @pytest.mark.parametrize("sigma", (0.2, 1.0, 3.0))
     def test_matches_the_direct_sums_within_tol(self, sigma):
@@ -412,7 +417,7 @@ class TestChebyshevInterpolation:
         for t in (0.0, 2.0, 4.0, 8.0):
             for dx_max in (6.0 * math.sqrt(2.0), 16.0):
                 r = np.concatenate([[0.0, dx_max], radii[radii < dx_max]])
-                ev = ModeProfileEvaluator(gen, t, 2, dx_max, tol=tol, distinct=10**7)
+                ev = ModeProfileEvaluator(gen, t, 2, spread(dx_max), tol=tol)
                 assert ev._table is not None
                 got = np.stack(ev.evaluate(r))
                 ref = np.stack(ModeProfileEvaluator(gen, t, 2, dx_max, tol=tol).evaluate(r))
@@ -423,10 +428,10 @@ class TestChebyshevInterpolation:
         # at tol 1e-14 the 33-point table that starts at n = 17 misses, the
         # 65-point one is accepted
         gen, tol, dx_max = gen_gaussian(2, sigma=3.0), 1e-14, 6.0 * math.sqrt(2.0)
-        ev = ModeProfileEvaluator(gen, 4.0, 2, dx_max, tol=tol, distinct=10**7)
+        ev = ModeProfileEvaluator(gen, 4.0, 2, spread(dx_max), tol=tol)
         k = ev._nodes[0]
         assert 9 < 0.5 * k[-1] * dx_max <= 17 and len(ev._table[0]) == 65
-        assert len(ModeProfileEvaluator(gen, 4.0, 2, dx_max, distinct=10**7)._table[0]) == 33
+        assert len(ModeProfileEvaluator(gen, 4.0, 2, spread(dx_max))._table[0]) == 33
         r = np.random.default_rng(62).uniform(0.0, dx_max, size=100)
         got = np.stack(ev.evaluate(r))
         ref = np.stack(ModeProfileEvaluator(gen, 4.0, 2, dx_max, tol=tol).evaluate(r))
@@ -436,25 +441,28 @@ class TestChebyshevInterpolation:
     def test_path_follows_the_cost_rule(self):
         # interpolate only where distinct K > (2n - 1)(K + distinct)
         gen, dx_max = gen_gaussian(2), 6.0 * math.sqrt(2.0)
-        many = ModeProfileEvaluator(gen, 2.0, 2, dx_max, distinct=12000)
+        many = ModeProfileEvaluator(gen, 2.0, 2, spread(dx_max, 12000))
         K, m = len(many._nodes[0]), len(many._table[0])
         few = m * K // (K - m)  # the largest count the rule leaves direct
-        assert ModeProfileEvaluator(gen, 2.0, 2, dx_max, distinct=few)._table is None
-        assert ModeProfileEvaluator(gen, 2.0, 2, dx_max, distinct=few + 1)._table is not None
-        assert ModeProfileEvaluator(gen, 2.0, 2, dx_max, distinct=100)._table is None
+        assert ModeProfileEvaluator(gen, 2.0, 2, spread(dx_max, few))._table is None
+        assert ModeProfileEvaluator(gen, 2.0, 2, spread(dx_max, few + 1))._table is not None
+        assert ModeProfileEvaluator(gen, 2.0, 2, spread(dx_max, 100))._table is None
+        # repeated radii count once
+        assert ModeProfileEvaluator(gen, 2.0, 2, np.repeat(spread(dx_max, few), 2))._table is None
 
     def test_one_radius_or_zero_width_stays_direct(self):
         gen = gen_gaussian(2)
         assert ModeProfileEvaluator(gen, 2.0, 2, 8.0)._table is None
-        assert ModeProfileEvaluator(gen, 2.0, 2, 8.0, distinct=1)._table is None
-        ev = ModeProfileEvaluator(gen, 2.0, 2, 0.0, distinct=10**7)
+        assert ModeProfileEvaluator(gen, 2.0, 2, np.full((3, 4), 8.0))._table is None
+        # many distinct radii, none above 0: no table
+        ev = ModeProfileEvaluator(gen, 2.0, 2, -spread(8.0))
         assert ev._table is None
         assert np.array_equal(np.stack(ev.evaluate([0.0])),
                               np.stack(ModeProfileEvaluator(gen, 2.0, 2, 0.0).evaluate([0.0])))
 
     @pytest.mark.parametrize("r", (8.5, -0.5, math.nan))
     def test_radius_outside_the_table_is_typed_error(self, r):
-        ev = ModeProfileEvaluator(gen_gaussian(2), 2.0, 2, 8.0, distinct=10**7)
+        ev = ModeProfileEvaluator(gen_gaussian(2), 2.0, 2, spread(8.0))
         with pytest.raises(ConfigurationError, match=rf"^I at r={r}, t=2.0, .*outside \[0, 8.0\]"):
             ev.evaluate([1.0, r])
 
@@ -463,7 +471,7 @@ class TestChebyshevInterpolation:
         # bits; radii on table points (0, an inner one, dx_max) take its values
         radii = np.random.default_rng(47).uniform(0.0, 12.0, size=50)
         for gen in shockwave_scenario(2):
-            ev = ModeProfileEvaluator(gen, 8.0, 2, 12.0, distinct=10**7)
+            ev = ModeProfileEvaluator(gen, 8.0, 2, spread(12.0))
             points, values = ev._table
             r = np.concatenate([radii, points[[0, 7, -1]]])
             whole = np.stack(ev.evaluate(r))
@@ -634,17 +642,16 @@ def test_batched_d2_tails_equal_one_pair_tails():
     # as two term sets (the coarser one gives the estimate)
     gens = seeded_d2_shells(31, 4) + [gen_shell(2, 1e-4, 0.8, center=(0.2, 0.0))]
     pairs = [(gi, gj) for i, gi in enumerate(gens) for gj in gens[i:]]
-    tails = pairing_tails(pairs, 2, [f"pair {n}" for n in range(len(pairs))])
+    values = pairings(pairs, 2, [f"pair {n}" for n in range(len(pairs))])
     coarse = 0
-    for (gi, gj), tail in zip(pairs, tails):
+    for (gi, gj), value in zip(pairs, values):
         plan = _tail_plan(2, *_pair_geometry(gi, gj), (gi.smearing, gj.smearing))
         coarse += len(plan[0]) == 2
-        assert hexed(tail) == hexed(next(_tails([plan])))
-        assert hexed(pairing_detail(gi, gj, 2, 1e-10, tail)) == hexed(pairing_detail(gi, gj, 2))
+        assert hexed(value) == hexed(pairing_detail(gi, gj, 2))
     assert coarse >= 1
-    # pairs that take no tail get None: a Gaussian factor, and d=3
-    assert pairing_tails([(gens[0], gen_gaussian(2))], 2, ["g"]) == [None]
-    assert pairing_tails([(gen_shell(3, 0.5, 1.25),) * 2], 3, ["3"]) == [None]
+    # pairs that take no tail: a Gaussian factor, and d=3
+    for pair, d in (((gens[0], gen_gaussian(2)), 2), ((gen_shell(3, 0.5, 1.25),) * 2, 3)):
+        assert hexed(pairings([pair], d, ["one"])[0]) == hexed(pairing_detail(*pair, d))
 
 
 def test_d2_shell_pairing_matrix_equals_pair_by_pair():

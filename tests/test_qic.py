@@ -320,9 +320,40 @@ class TestWeightingGrid:
             for name in ("q_field", "q_momentum", "p_field", "p_momentum"):
                 assert np.array_equal(getattr(one, name), getattr(two, name))
 
+    def test_one_evaluator_and_one_evaluate_call_per_generator(self, monkeypatch):
+        # each generator's evaluator is given every grid radius and evaluates
+        # them in one call; it splits its distinct radii over the pool itself
+        from qicsim.field_kernel import ModeProfileEvaluator
+
+        built, evaluated = [], []
+        init, evaluate = ModeProfileEvaluator.__init__, ModeProfileEvaluator.evaluate
+
+        def recorded_init(self, gen, t, d, radii, *args, **kwargs):
+            built.append((gen, np.array(radii)))
+            init(self, gen, t, d, radii, *args, **kwargs)
+
+        def recorded_evaluate(self, dx):
+            evaluated.append((self.gen, np.array(dx)))
+            return evaluate(self, dx)
+
+        monkeypatch.setattr(ModeProfileEvaluator, "__init__", recorded_init)
+        monkeypatch.setattr(ModeProfileEvaluator, "evaluate", recorded_evaluate)
+        modes = build_qic(shockwave_scenario(2), 2)
+        spec = GridSpec(axes=(GridAxis(0.1, 16.1, 0.5), GridAxis(-4.0, 4.0, 0.5)))
+        want = [(gen, np.linalg.norm(spec.points() - gen.smearing.center, axis=1))
+                for gen in modes.generators]
+        for threads in (1, 2):
+            built.clear()
+            evaluated.clear()
+            weighting_grid(modes, None, 8.0, spec, threads=threads)
+            for calls in (built, evaluated):
+                assert len(calls) == len(want), threads
+                for (gen, radii), (want_gen, want_radii) in zip(calls, want):
+                    assert gen is want_gen and np.array_equal(radii, want_radii), threads
+
     def test_each_distinct_radius_evaluated_once(self, monkeypatch):
         # 41 x 41 lattice around the emitter: 435 distinct radii, many shared
-        # by 4 or 8 points; chunks cut at changes of radius never split a run
+        # by 4 or 8 points; the evaluator splits the distinct radii, not the points
         from qicsim.field_kernel import ModeProfileEvaluator
 
         seen = []

@@ -1,18 +1,22 @@
+import ast
+import dataclasses
 import math
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import spatial_eval
 from qicsim.errors import ConfigurationError, QuadratureError
 from qicsim.smearing import (
     RadialSmearing,
     _panel_gl,
     ft_oracle,
     radial_ft,
-    spatial_eval,
     support_radius,
 )
 
@@ -38,12 +42,25 @@ class TestSpatialEval:
         assert spatial_eval(s, (1.0, 0.0, 0.0)) == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError, match=r"^point has shape \(2,\), expected \(3,\)$"):
             spatial_eval(gaussian3(), (0.0, 0.0))
 
     def test_amplitude_scales_profile(self):
         s = RadialSmearing.gaussian(SIGMA, (0, 0, 0), 3, amplitude=2.5)
         assert spatial_eval(s, (0, 0, 0)) == 2.5
+
+
+def test_oracles_import_only_data_classes():
+    # the oracles stay independent of the production code they check
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "qicsim" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qicsim":
+            imported |= {alias.name for alias in node.names}
+    assert imported == {"Generator", "RadialSmearing"}
+    assert all(dataclasses.is_dataclass(getattr(oracles, name)) for name in imported)
 
 
 class TestConstruction:
