@@ -418,10 +418,12 @@ def pairing(gen_i, gen_j, d: int, tol: float = 1e-10) -> complex:
 
 def pairing_damped(gen_i, gen_j, d: int) -> tuple[complex, float]:
     """Independent damped-tail evaluation of the pairing (cross-check path),
-    one path for every profile kind."""
+    one path for every profile kind.  Its rate omega adds the width sqrt(g_i + g_j)
+    of the Gaussian envelope (`ft_gauss_decay`, 0 for shells) to the phases' rates."""
     (si, sj), dx, tau = _pair_setup(gen_i, gen_j, d)
     integrand = _radial_integrand(d, dx, tau, (si, sj))
-    omega = abs(tau) + dx + sum(ft_frequencies(si)) + sum(ft_frequencies(sj))
+    omega = (abs(tau) + dx + sum(ft_frequencies(si)) + sum(ft_frequencies(sj))
+             + math.sqrt(ft_gauss_decay(si) + ft_gauss_decay(sj)))
     return damped_tail_integral(integrand, omega)
 
 

@@ -29,6 +29,8 @@ Strategy
   convergent integral for a ladder of eta values, and extrapolates eta -> 0
   with a log-aware model (the eta^2 ln eta term is real; a pure polynomial
   extrapolation stalls on it).  One integrand pass serves all eta rungs.
+  Its grid follows from two bounds: rung eta stops where e^{-eta k} = eps,
+  and DAMPING_NODES per segment of phase <= pi leave a remainder < 1e-26.
   It shares no tail code with the primary path and is used by the test
   suite as the second quadrature scheme.
 
@@ -52,11 +54,12 @@ MAX_SEGMENTS = 1 << 17  # panel cap of `panel_nodes`
 PANEL_NODES = 8  # starting Gauss-Legendre nodes per panel (doubled until certified)
 DAMPING_ETA0 = 0.04  # largest damping rate of `damped_tail_integral`
 DAMPING_RUNGS = 7  # its damping rates: DAMPING_ETA0 / 2^j, j < DAMPING_RUNGS
-DAMPING_NODES = 24  # its Gauss-Legendre nodes per segment
+DAMPING_NODES = 12  # its Gauss-Legendre nodes per segment
 EXPINT_CUT = 2.0  # `expint` takes the continued fraction at |z| >= EXPINT_CUT, the series below
 EXPINT_STEPS = 1000  # its continued-fraction step cap
 EXPINT_SERIES = 32  # its series terms: 2^32 / 32! < 1e-25
 _EPS = np.finfo(float).eps
+DAMPING_CUTOFF = math.nextafter(-math.log(_EPS), math.inf)  # e^{-DAMPING_CUTOFF} <= eps
 ROUNDING = 8.0 * _EPS  # padded relative rounding of one term or node of a sum
 
 
@@ -249,7 +252,10 @@ def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
     j < DAMPING_RUNGS, and extrapolates eta -> 0 with the model
     a0 + a1 eta + a2 eta^2 + a3 eta^2 ln eta + a4 eta^3 + a5 eta^3 ln eta.
     One integrand pass over the smallest eta's grid (segments of pi/(omega+1))
-    serves every rung; rung eta damps and sums only its prefix, k <= 45/eta.
+    serves every rung; rung eta sums only k <= DAMPING_CUTOFF / eta (e^{-eta k} <= eps).
+    ``omega`` bounds every rate f varies at, envelope too: a segment h has phase
+    h omega < pi, and the 12-node remainder (A&S 25.4.30) h (h omega)^24 (12!)^4 /
+    (25 (24!)^3) is < 1e-26 h.  NaN, infinite or negative: `ConfigurationError`.
     Slow but accurate; intended for cross-checks, not production paths.
 
     The pass runs on every CPU of ``os.sched_getaffinity``: each block of
@@ -259,9 +265,11 @@ def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
     therefore do not depend on the CPU count, but ``integrand`` must be
     thread-safe.  An integrand error reaches the caller unchanged.
     """
+    if not 0.0 <= omega < math.inf:
+        raise ConfigurationError(f"damped-tail integral: omega = {omega!r}, not a finite number >= 0")
     h = math.pi / (omega + 1.0)
     etas = DAMPING_ETA0 * 0.5 ** np.arange(DAMPING_RUNGS)
-    counts = [int(math.ceil(45.0 / eta / h)) for eta in etas]
+    counts = [int(math.ceil(DAMPING_CUTOFF / eta / h)) for eta in etas]
     total, workers = counts[-1], len(os.sched_getaffinity(0))
     chunk, block = 50000, 2500  # rungs sum per chunk (fixes the bytes); block divides chunk
     bounds = [min(i0 + block * s // workers, total) for i0 in range(0, total, block)

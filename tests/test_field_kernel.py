@@ -166,6 +166,23 @@ def test_damped_oracle_covers_gaussian_pairs():
             assert abs(val - damped) <= 1e-9 * scale + 2.0 * damped_err, (d, kinds, val, damped)
 
 
+def test_damped_oracle_resolves_wide_gaussian_envelopes():
+    # concentric wide Gaussians at one time: every phase frequency is 0, so
+    # only the envelope's width sqrt(g_i + g_j) sizes the damped grid
+    for d in (2, 3):
+        gi, gj = gen_gaussian(d, sigma=2.0), gen_gaussian(d, sigma=1.5)
+        val, _ = pairing_detail(gi, gj, d)
+        damped, damped_err = pairing_damped(gi, gj, d)
+        scale = math.sqrt(pairing(gi, gi, d).real * pairing(gj, gj, d).real)
+        assert abs(val - damped) <= 1e-9 * scale + 2.0 * damped_err, (d, val, damped, damped_err)
+
+
+def test_damped_oracle_rejects_an_overflowing_time():
+    for d in (2, 3):
+        with pytest.raises(ConfigurationError, match="omega"):
+            pairing_damped(gen_shell(d, 0.0, 1.0, t=-1e308), gen_shell(d, 0.0, 1.0, t=1e308), d)
+
+
 class TestMicrocausality:
     def test_spacelike_table_pairs(self, table1_3, table1_2):
         for sc, d in ((table1_3, 3), (table1_2, 2)):

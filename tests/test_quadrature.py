@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -17,14 +18,14 @@ from qicsim.quadrature import (
 )
 
 
-def damped_tail_per_rung(integrand, omega, eta0=0.04, n_eta=7, nodes=24):
+def damped_tail_per_rung(integrand, omega, eta0=0.04, n_eta=7, nodes=quadrature.DAMPING_NODES):
     """Reference: each rung eta walks its own grid in 50000-segment chunks
     (the algorithm `damped_tail_integral` replaces), then the same fit."""
     h = math.pi / (omega + 1.0)
     etas = eta0 * 0.5 ** np.arange(n_eta)
     vals = np.empty(n_eta, dtype=complex)
     for j, eta in enumerate(etas):
-        n = int(math.ceil(45.0 / eta / h))
+        n = int(math.ceil(quadrature.DAMPING_CUTOFF / eta / h))
         total = 0.0 + 0.0j
         for i0 in range(0, n, 50000):
             edges = h * np.arange(i0, min(i0 + 50000, n) + 1)
@@ -62,7 +63,29 @@ def test_damped_tail_evaluates_each_node_once():
     damped_tail_integral(counted, omega)
     h = math.pi / (omega + 1.0)
     eta_min = quadrature.DAMPING_ETA0 * 0.5 ** (quadrature.DAMPING_RUNGS - 1)
-    assert sum(points) == int(math.ceil(45.0 / eta_min / h)) * quadrature.DAMPING_NODES
+    assert sum(points) == int(math.ceil(quadrature.DAMPING_CUTOFF / eta_min / h)) * quadrature.DAMPING_NODES
+
+
+def test_damped_tail_grid_premises():
+    # the cutoff: e^{-DAMPING_CUTOFF} <= eps exactly (Decimal's exp is
+    # correctly rounded), so rung eta's damping past DAMPING_CUTOFF / eta is
+    # below double rounding
+    assert Decimal(-quadrature.DAMPING_CUTOFF).exp() <= Decimal(np.finfo(float).eps)
+    # the nodes: DAMPING_NODES integrate e^{i theta k} over one segment of
+    # phase pi (the largest a segment of pi/(omega + 1) meets) to rounding
+    for theta in (math.pi, -math.pi):
+        rule = segment_integrals(lambda k: np.exp(1j * theta * k), np.array([0.0, 1.0]),
+                                 quadrature.DAMPING_NODES)[0]
+        assert abs(rule - (np.exp(1j * theta) - 1.0) / (1j * theta)) <= quadrature.ROUNDING
+
+
+@pytest.mark.parametrize("omega", [math.inf, math.nan, -1.0, -2.0])
+def test_damped_tail_rejects_bad_omega(omega):
+    def never(k):
+        raise AssertionError("the integrand is evaluated")
+
+    with pytest.raises(ConfigurationError, match="omega"):
+        damped_tail_integral(never, omega)
 
 
 def test_damped_tail_bytes_do_not_depend_on_cpu_count(monkeypatch):
@@ -80,7 +103,7 @@ def test_damped_tail_integrand_error_propagates_and_pool_stops():
     late = ConfigurationError("late block")
 
     def failing(k):
-        if k.min() > 50000.0:  # segment ~64000 of ~92000
+        if k.min() > 50000.0:  # segment ~64000 of ~73000
             raise late
         return algebraic(k)
 
