@@ -8,8 +8,9 @@ shockwave   alias for ``evolve --preset shockwave``
 validate    run the invariant suite and report pass/fail with residuals
 
 A run is configured by an optional JSON config file (``--config``) whose
-keys match the long flags; explicit flags override config values.  Unknown
-config keys are rejected before any computation starts.
+keys are the long flags of its command plus an inline ``scenario``;
+explicit flags override config values.  Any other key, a flag of another
+command included, is rejected before any computation starts.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ from .scenarios import PRESETS, preset, _serialize_generator
 from .smearing import GAUSSIAN, HARD_SHELL, RadialSmearing
 from .validate import run_checks
 
-_CONFIG_KEYS = {
-    "dimension", "scenario", "preset", "t", "grid", "log_base", "tol",
-    "search_tol", "threads", "out",
-}
-
-_GEN_KEYS = {"kind", "sigma", "r_inner", "r_outer", "center", "t", "coupling", "amplitude"}
-
+_GEN_COMMON = ("t", "coupling", "amplitude")  # numeric keys of every generator kind
 
 _CSV_BLOCK_ROWS = 4096
 
@@ -82,7 +77,10 @@ def _typed(value, kind, what: str):
     return value
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(args) -> dict:
+    """The ``--config`` file of ``args``: an object whose keys are the
+    command's own long options (``config`` aside) plus ``scenario``."""
+    path = args.config
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
@@ -92,7 +90,7 @@ def _load_config(path: str | None) -> dict:
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError("config file must contain a JSON object")
-    _reject_unknown(cfg, _CONFIG_KEYS, "config")
+    _reject_unknown(cfg, (set(vars(args)) - {"command", "func", "config"}) | {"scenario"}, "config")
     for key in ("grid", "out"):  # the other string settings are checked where used
         if cfg.get(key) is not None:
             _typed(cfg[key], str, f"config key {key!r}")
@@ -119,15 +117,14 @@ def _tolerance(args, cfg: dict, key: str) -> float:
 
 
 def _generator_from_spec(spec: dict, dimension: int, what: str) -> Generator:
-    _reject_unknown(_typed(spec, dict, what), _GEN_KEYS, "generator")
-    _require(spec, ("kind", "center", "t"), "generator definition")
+    _require(_typed(spec, dict, what), ("kind", "center", "t"), "generator definition")
     kind = spec["kind"]
     shape = {GAUSSIAN: ("sigma",), HARD_SHELL: ("r_inner", "r_outer")}.get(kind)
     if shape is None:
         raise ConfigurationError(f"unknown generator kind {kind!r}")
+    _reject_unknown(spec, {"kind", "center", *shape, *_GEN_COMMON}, "generator")
     _require(spec, shape, f"{kind} generator")
-    num = {key: _number(spec.get(key, 1.0), f"generator key {key!r}")
-           for key in shape + ("t", "coupling", "amplitude")}
+    num = {key: _number(spec.get(key, 1.0), f"generator key {key!r}") for key in shape + _GEN_COMMON}
     center = tuple(_number(c, "generator key 'center'")
                    for c in _typed(spec["center"], list, "generator key 'center'"))
     smearing = RadialSmearing(kind, dimension, center, amplitude=num["amplitude"],
@@ -163,9 +160,6 @@ def _resolve_scenario(args, cfg, expect_kind: str):
     dim = _setting(args, cfg, "dimension", 3, int)
     name = _setting(args, cfg, "preset")
     inline = cfg.get("scenario")
-    if name is None and isinstance(inline, str):
-        name = inline
-        inline = None
     if name is not None:
         p = preset(name, dim)
         if p.kind != expect_kind:
@@ -194,7 +188,7 @@ def _resolve_scenario(args, cfg, expect_kind: str):
 
 
 def cmd_capacity(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     dim, scenario, _ = _resolve_scenario(args, cfg, "channel")
     base = _setting(args, cfg, "log_base", "2")
     tol = _tolerance(args, cfg, "tol")
@@ -234,7 +228,7 @@ def _sigma_scale(generators) -> float:
 
 
 def cmd_evolve(args, forced_preset: str | None = None) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     if forced_preset is not None and args.preset is None:
         args.preset = forced_preset
     dim, generators, pre = _resolve_scenario(args, cfg, "evolve")

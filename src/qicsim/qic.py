@@ -113,7 +113,7 @@ class QicModeSet:
 
 def build_qic(
     generators,
-    d: int | None = None,
+    d: int,
     *,
     pairing: PairingMatrix | None = None,
     tol: float = 1e-10,
@@ -130,8 +130,6 @@ def build_qic(
     generators = tuple(generators)
     if not generators:
         raise ConfigurationError("need at least one generator")
-    if d is None:
-        d = generators[0].smearing.dimension
     if pairing is None:
         pairing = pairing_matrix(generators, d, tol)
     elif pairing.size != len(generators):

@@ -31,8 +31,11 @@ Strategy
   extrapolation stalls on it).  One integrand pass serves all eta rungs.
   Its grid follows from two bounds: rung eta stops where e^{-eta k} = eps,
   and DAMPING_NODES per segment of phase <= pi leave a remainder < 1e-26.
-  It shares no tail code with the primary path and is used by the test
-  suite as the second quadrature scheme.
+  A grid over the DAMPING_SEGMENTS budget is refused before any evaluation.
+  The grid is summed in fixed blocks of DAMPING_BLOCK segments, added in
+  block order whatever the CPU count.  It shares no tail code with the
+  primary path and is used by the test suite as the second quadrature
+  scheme.
 
 The integrators return ``(value, error_estimate)`` so callers can propagate
 achieved accuracy instead of assuming it.
@@ -55,6 +58,8 @@ PANEL_NODES = 8  # starting Gauss-Legendre nodes per panel (doubled until certif
 DAMPING_ETA0 = 0.04  # largest damping rate of `damped_tail_integral`
 DAMPING_RUNGS = 7  # its damping rates: DAMPING_ETA0 / 2^j, j < DAMPING_RUNGS
 DAMPING_NODES = 12  # its Gauss-Legendre nodes per segment
+DAMPING_BLOCK = 1250  # its segments per block, the unit of work and of summation
+DAMPING_SEGMENTS = 1 << 21  # its grid budget, 7.5x the test suite's largest grid (279,025)
 EXPINT_CUT = 2.0  # `expint` takes the continued fraction at |z| >= EXPINT_CUT, the series below
 EXPINT_STEPS = 1000  # its continued-fraction step cap
 EXPINT_SERIES = 32  # its series terms: 2^32 / 32! < 1e-25
@@ -236,13 +241,13 @@ def oscillatory_integral(integrand, tail, k_split: float, omega: float,
     return complex(sums[0, 0]), float(err[0])
 
 
-def _damped_slab(integrand, h: float, etas, counts, a: int, b: int) -> list[np.ndarray]:
-    """Segment sums of f(k) e^{-eta k} over segments a..b-1 of the damped
-    grid, one array per rung that reaches into them (a suffix of the rungs)."""
+def _damped_block(integrand, h: float, etas, counts, a: int, b: int) -> np.ndarray:
+    """Integrals of f(k) e^{-eta k} over segments a..b-1 of the damped grid,
+    one per rung: over the rung's own segments among them, 0 past its end."""
     k, w, half = _segment_nodes(h * np.arange(a, b + 1), DAMPING_NODES)
     f = np.asarray(integrand(k.ravel())).reshape(k.shape)
-    return [(f[:m] * np.exp(-eta * k[:m]) * w).sum(axis=1) * half[:m]
-            for eta, n in zip(etas, counts) if (m := min(n - a, b - a)) > 0]
+    return np.array([((f[:m] * np.exp(-eta * k[:m]) * w).sum(axis=1) * half[:m]).sum()
+                     for eta, m in zip(etas, np.clip(np.subtract(counts, a), 0, b - a))])
 
 
 def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
@@ -255,37 +260,31 @@ def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
     serves every rung; rung eta sums only k <= DAMPING_CUTOFF / eta (e^{-eta k} <= eps).
     ``omega`` bounds every rate f varies at, envelope too: a segment h has phase
     h omega < pi, and the 12-node remainder (A&S 25.4.30) h (h omega)^24 (12!)^4 /
-    (25 (24!)^3) is < 1e-26 h.  NaN, infinite or negative: `ConfigurationError`.
+    (25 (24!)^3) is < 1e-26 h.  NaN, infinite or negative: `ConfigurationError`;
+    so is a grid of more than DAMPING_SEGMENTS segments, before any evaluation.
     Slow but accurate; intended for cross-checks, not production paths.
 
-    The pass runs on every CPU of ``os.sched_getaffinity``: each block of
-    segments is split into one slab per CPU, `Executor.map` runs the slabs on
-    a thread pool of that size and returns their sums in grid order, and each
-    rung's segment sums are added up in fixed chunks.  Value and estimate
-    therefore do not depend on the CPU count, but ``integrand`` must be
-    thread-safe.  An integrand error reaches the caller unchanged.
+    The grid is cut into fixed blocks of DAMPING_BLOCK segments.  `Executor.map`
+    runs the blocks on a thread pool with one thread per CPU of
+    ``os.sched_getaffinity`` and returns each block's rung integrals in block
+    order, where they are added.  Value and estimate therefore do not depend
+    on the CPU count, but ``integrand`` must be thread-safe.  An integrand
+    error reaches the caller unchanged.
     """
     if not 0.0 <= omega < math.inf:
         raise ConfigurationError(f"damped-tail integral: omega = {omega!r}, not a finite number >= 0")
     h = math.pi / (omega + 1.0)
     etas = DAMPING_ETA0 * 0.5 ** np.arange(DAMPING_RUNGS)
     counts = [int(math.ceil(DAMPING_CUTOFF / eta / h)) for eta in etas]
-    total, workers = counts[-1], len(os.sched_getaffinity(0))
-    chunk, block = 50000, 2500  # rungs sum per chunk (fixes the bytes); block divides chunk
-    bounds = [min(i0 + block * s // workers, total) for i0 in range(0, total, block)
-              for s in range(workers)]  # each block splits into one slab per worker
-    slabs = [(a, b) for a, b in zip(bounds, bounds[1:] + [total]) if a < b]
-    seg = np.empty((DAMPING_RUNGS, chunk), dtype=complex)
-    vals = np.zeros(DAMPING_RUNGS, dtype=complex)
-    with ThreadPoolExecutor(workers) as pool:
-        in_order = pool.map(lambda ab: _damped_slab(integrand, h, etas, counts, *ab), slabs)
-        for (a, _), sums in zip(slabs, in_order):
-            c0 = a % chunk
-            for j, s in enumerate(sums, DAMPING_RUNGS - len(sums)):
-                m = len(s)  # rung j's segments in this slab
-                seg[j, c0 : c0 + m] = s
-                if a + m == counts[j] or c0 + m == chunk:  # rung j's chunk is complete
-                    vals[j] += seg[j, : c0 + m].sum()
+    total = counts[-1]
+    if total > DAMPING_SEGMENTS:
+        raise ConfigurationError(f"damped-tail integral: omega = {omega!r} needs {total} segments "
+                                 f"> DAMPING_SEGMENTS = {DAMPING_SEGMENTS}")
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        blocks = pool.map(lambda a: _damped_block(integrand, h, etas, counts, a,
+                                                  min(a + DAMPING_BLOCK, total)),
+                          range(0, total, DAMPING_BLOCK))
+        vals = sum(blocks, np.zeros(DAMPING_RUNGS, dtype=complex))
     cols = np.stack(
         [
             np.ones_like(etas),

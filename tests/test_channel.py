@@ -478,6 +478,12 @@ class TestScenarioConstruction:
         p = distribution_from_moments(ChannelMoments(np.eye(8), np.zeros(8), 0.0), [0.2] * 8, 1.0)
         assert p.shape == (2,) * 8
 
+    @pytest.mark.parametrize("party", ("receiver", "sender"))
+    def test_dimension_mismatch_rejected(self, table1_3, table1_2, party):
+        alice, bobs = (table1_3.alice, table1_2.bobs) if party == "receiver" else (table1_2.alice, table1_3.bobs)
+        with pytest.raises(ConfigurationError, match=f"^{party} smearing dimension mismatch"):
+            make_channel_scenario(alice, bobs, 3)
+
     def test_shared_decoding_time(self, table1_3):
         bobs = list(table1_3.bobs)
         bobs[1] = Generator(bobs[1].smearing, 2.5, bobs[1].coupling)

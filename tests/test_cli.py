@@ -374,6 +374,14 @@ class TestEvolveCommand:
             "evolve_single_d3_t4.csv",
         ]
 
+    @pytest.mark.parametrize("out", ("f.csv", "f"))
+    def test_default_times_write_one_file_each_named_after_out(self, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["evolve", "--dim", "3", "--preset", "single",
+                     "--grid", "x=0:1:0.5,y=0,z=0", "--out", out]) == 0
+        stem, dot, ext = out.partition(".")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{stem}_t{t}{dot}{ext}" for t in (0, 2, 4)]
+
     def test_sigma_scaling_documented_and_applied(self, tmp_path):
         out = tmp_path / "scaled.csv"
         assert main(["evolve", "--dim", "3", "--preset", "single", "--t", "0",
@@ -483,6 +491,25 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
      % (json.dumps(_GAUSS), json.dumps(_GAUSS)), "unknown config keys: ['degeneracy_eps']"),
     (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "amplitude": 0}]}},
      "no mode to sample: every generator was skipped"),
+    # a config carries only the keys its command reads
+    (["capacity", "--preset", "table1"], {"threads": -4, "t": "soon", "grid": "x=0:1:0.5"},
+     "unknown config keys: ['grid', 't', 'threads']"),
+    (_SINGLE, {"search_tol": -1, "log_base": "ten"}, "unknown config keys: ['log_base', 'search_tol']"),
+    (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "r_inner": "bogus"}]}},
+     "unknown generator keys: ['r_inner']"),
+    (["capacity"], "[1, 2]", "config file must contain a JSON object"),
+    (["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0"], None,
+     "grid needs 3 comma-separated axes, got 2"),
+    (["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,0,z=0"], None,
+     "grid axis '0' must look like axis=spec"),
+    (["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1,y=0,z=0"], None,
+     "grid axis spec '0:1' must be value or lo:hi:step"),
+    (["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=inf,z=0"], None,
+     "grid fixed axis value inf is not finite"),
+    (["capacity"], None, "no scenario: pass --preset or a config scenario"),
+    (["capacity"], {"scenario": "table1"}, "inline scenario must be an object"),
+    (_EVOLVE, {"scenario": {"generators": []}}, "inline scenario has no generators"),
+    (_EVOLVE[:3], {"scenario": {"generators": [_GAUSS]}}, "no grid: pass --grid"),
 ], ids=["grid-value", "grid-inf", "config-json", "config-not-utf8", "config-deep", "config-long-int",
         "no-alice", "no-r-outer", "sigma-text", "center-number", "alice-number", "bobs-number", "bobs-empty", "bobs-over-budget",
         "generators-number",
@@ -491,7 +518,10 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
         "dimension-inf", "threads-inf",
         "search-tol-zero", "search-tol-negative", "search-tol-nan", "tol-zero", "tol-negative",
         "tol-nan", "evolve-tol-nan", "grid-too-large", "centres-overflow",
-        "time-overflow", "degeneracy-eps", "no-mode"])
+        "time-overflow", "degeneracy-eps", "no-mode",
+        "capacity-evolve-keys", "evolve-capacity-keys", "gaussian-shell-key", "config-not-object",
+        "grid-axis-count", "grid-axis-no-name", "grid-axis-two-fields", "grid-fixed-inf",
+        "no-scenario", "scenario-name", "generators-empty", "no-grid"])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, argv, config, named):
     argv = argv + ["--out", str(tmp_path / "out")]
     if config is not None:

@@ -195,6 +195,11 @@ class TestBuildQic:
         with pytest.raises(ConfigurationError):
             build_qic([], 3)
 
+    def test_pairing_of_another_size_rejected(self):
+        gen = single_qic_scenario(3)[0]
+        with pytest.raises(ConfigurationError, match="pairing matrix size does not match generator count"):
+            build_qic([gen], 3, pairing=pairing_matrix([gen, gen], 3))
+
 
 def line_spec(d, lo=-6.0, hi=6.0, step=0.05):
     return GridSpec(axes=(GridAxis(lo, hi, step),) + (0.0,) * (d - 1))

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import time
 from decimal import Decimal
 
 import numpy as np
@@ -19,16 +20,17 @@ from qicsim.quadrature import (
 
 
 def damped_tail_per_rung(integrand, omega, eta0=0.04, n_eta=7, nodes=quadrature.DAMPING_NODES):
-    """Reference: each rung eta walks its own grid in 50000-segment chunks
-    (the algorithm `damped_tail_integral` replaces), then the same fit."""
+    """Reference: each rung eta walks its own grid in DAMPING_BLOCK-segment
+    blocks, adding each block's sum in order (the algorithm
+    `damped_tail_integral` replaces), then the same fit."""
     h = math.pi / (omega + 1.0)
     etas = eta0 * 0.5 ** np.arange(n_eta)
     vals = np.empty(n_eta, dtype=complex)
     for j, eta in enumerate(etas):
         n = int(math.ceil(quadrature.DAMPING_CUTOFF / eta / h))
         total = 0.0 + 0.0j
-        for i0 in range(0, n, 50000):
-            edges = h * np.arange(i0, min(i0 + 50000, n) + 1)
+        for i0 in range(0, n, quadrature.DAMPING_BLOCK):
+            edges = h * np.arange(i0, min(i0 + quadrature.DAMPING_BLOCK, n) + 1)
             total += segment_integrals(
                 lambda k: integrand(k) * np.exp(-eta * k), edges, nodes
             ).sum()
@@ -45,11 +47,13 @@ def algebraic(k):
 
 
 def test_damped_tail_matches_per_rung_reference_exactly():
-    # omega = 3: the smallest rung spans two 50000-segment groups, and the
-    # larger rungs end inside a sub-block
-    value, err = damped_tail_integral(algebraic, omega=3.0)
-    ref_value, ref_err = damped_tail_per_rung(algebraic, omega=3.0)
-    assert value == ref_value and err == ref_err
+    # omega = 3: the smallest rung spans many blocks, and the larger rungs
+    # end inside a block; omega = 0.0895: rungs 2-6 end exactly on a block's
+    # last segment (1250, 2500, ..., 20000 segments)
+    for omega in (3.0, 0.0895):
+        value, err = damped_tail_integral(algebraic, omega=omega)
+        ref_value, ref_err = damped_tail_per_rung(algebraic, omega=omega)
+        assert value == ref_value and err == ref_err
 
 
 def test_damped_tail_evaluates_each_node_once():
@@ -86,6 +90,17 @@ def test_damped_tail_rejects_bad_omega(omega):
 
     with pytest.raises(ConfigurationError, match="omega"):
         damped_tail_integral(never, omega)
+
+
+def test_damped_tail_refuses_a_grid_over_budget_before_any_evaluation():
+    def never(k):
+        raise AssertionError("the integrand is evaluated")
+
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError, match=r"omega = 1000000\.0 needs 18356900290 segments "
+                                                 r"> DAMPING_SEGMENTS = 2097152"):
+        damped_tail_integral(never, 1e6)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_damped_tail_bytes_do_not_depend_on_cpu_count(monkeypatch):

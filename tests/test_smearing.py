@@ -256,6 +256,13 @@ def test_oracle_non_convergence_names_profile_and_k():
     assert info.value.value is not None and info.value.estimate > 0.0
 
 
+@pytest.mark.parametrize("k_vec", ((3.0, 4.0, 0.0), (5.0,), ((3.0, 4.0),)))
+def test_oracle_rejects_a_wavevector_of_the_wrong_shape(k_vec):
+    s = RadialSmearing.hard_shell(1.1, 2.9, (0.0, 0.0), 2)
+    with pytest.raises(ConfigurationError, match=r"wavevector has shape \(.*\), expected \(2,\)"):
+        ft_oracle(s, k_vec)
+
+
 def test_oracle_error_value_carries_amplitude_and_phase():
     # the stalled value must be the transform itself, amplitude and center
     # phase included, within the reported estimate of the converged one
