@@ -19,7 +19,6 @@ from .qic import (
     GridSpec,
     QicModeSet,
     build_qic,
-    extended_gram,
     weighting_grid,
 )
 from .scenarios import (
@@ -46,7 +45,6 @@ __all__ = [
     "build_qic",
     "capacity",
     "capacity_table",
-    "extended_gram",
     "make_channel_scenario",
     "marginalize",
     "mutual_information",

@@ -91,10 +91,6 @@ class ChannelScenario:
     dimension: int
     geometry: tuple[str, ...]
 
-    @property
-    def delta_t(self) -> float:
-        return self.bobs[0].coupling_time - self.alice.coupling_time
-
 
 def classify_receiver(bob: Generator, alice: Generator, delta_t: float) -> str:
     """Position of a concentric shell relative to the smeared light cone."""

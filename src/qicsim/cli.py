@@ -91,7 +91,7 @@ def _load_config(args) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigurationError("config file must contain a JSON object")
     _reject_unknown(cfg, (set(vars(args)) - {"command", "func", "config"}) | {"scenario"}, "config")
-    for key in ("grid", "out"):  # the other string settings are checked where used
+    for key in ("grid", "out", "preset"):  # the other string settings are checked where used
         if cfg.get(key) is not None:
             _typed(cfg[key], str, f"config key {key!r}")
     return cfg
@@ -118,7 +118,7 @@ def _tolerance(args, cfg: dict, key: str) -> float:
 
 def _generator_from_spec(spec: dict, dimension: int, what: str) -> Generator:
     _require(_typed(spec, dict, what), ("kind", "center", "t"), "generator definition")
-    kind = spec["kind"]
+    kind = _typed(spec["kind"], str, "generator key 'kind'")
     shape = {GAUSSIAN: ("sigma",), HARD_SHELL: ("r_inner", "r_outer")}.get(kind)
     if shape is None:
         raise ConfigurationError(f"unknown generator kind {kind!r}")

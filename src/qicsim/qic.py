@@ -1,17 +1,18 @@
 """Construction of orthonormal information-carrying mode sets.
 
-Operators live as real coefficient vectors over the 2k-dimensional basis
-{O_1..O_k, f(O_1)..f(O_k)}: index a < k is O_a, index k + a is f(O_a).
-The vacuum closes this space under the conjugation map f (f o f = -id), so
-the whole mode recursion is exact linear algebra over the pairing matrix:
+An operator in the span of {O_1..O_k, f(O_1)..f(O_k)},
+sum_a x_a O_a + y_a f(O_a), is the complex coefficient vector z = x - i y in
+C^k.  The vacuum closes this span under the conjugation map f (f o f = -id),
+which acts on z as multiplication by -i.  Because the vacuum is pure, its
+second moments and commutators on the span are the real and imaginary parts
+of one Hermitian form built from the pairing matrix S alone:
 
-    <e_a e_b>   ->  G = [[S, iS], [-iS, S]]
-    metric      M = Re G   (second moments)
-    symplectic  W = 2 Im G (commutators over i)
+    <z, w> = 2 z^H conj(S) w = 2 <B A>    (A <-> z, B <-> w)
+    Re <z, w> = <{A, B}>,   Im <z, w> = -(1/i) <[A, B]>
 
-Both forms follow from S alone because the vacuum is pure; in particular
-M = (1/2) F W with F the matrix of f, which makes the covariance conditions
-equivalent to the symplectic ones.
+so the mode recursion is Gram-Schmidt in k complex dimensions, and a mode
+c with <c, c> = 1 is a quadrature pair Q <-> c, P = f(Q) <-> -i c in the
+standard form: <Q^2> = <P^2> = 1/2, [Q, P] = i.
 """
 
 from __future__ import annotations
@@ -53,52 +54,22 @@ class Generator:
 
 
 @dataclass(frozen=True)
-class ExtendedGram:
-    """Bilinear forms on the span of {O_a, f(O_a)} derived from pairings."""
-
-    metric: np.ndarray
-    symplectic: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.metric.shape[0]
-
-    def apply_f(self, u: np.ndarray) -> np.ndarray:
-        """Coefficient vector of f(A): (q, p) -> (-p, q)."""
-        k = self.size // 2
-        out = np.empty_like(u)
-        out[:k] = -u[k:]
-        out[k:] = u[:k]
-        return out
-
-
-def extended_gram(pairing: PairingMatrix) -> ExtendedGram:
-    S = pairing.entries
-    re, im = S.real, S.imag
-    metric = np.block([[re, -im], [im, re]])
-    symplectic = 2.0 * np.block([[im, re], [-re, im]])
-    return ExtendedGram(metric=metric, symplectic=symplectic)
-
-
-@dataclass(frozen=True)
 class QicModeSet:
     """Orthonormal mode pairs built from an ordered generator list.
 
-    ``q_coeffs[m]`` / ``p_coeffs[m]`` are the coefficient vectors of the
-    m-th mode's two quadratures over {O_a, f(O_a)}.  ``mode_generators``
-    maps mode slot -> generator index; generators found linearly dependent
-    on earlier modes are listed in ``skipped`` and produce no mode.
-    ``betas``/``gammas`` are indexed [generator, mode slot].
+    ``coeffs[m]`` is the complex coefficient vector c_m of the m-th mode's
+    first quadrature Q_m over {O_a} (its second is P_m = f(Q_m) <-> -i c_m).
+    ``mode_generators`` maps mode slot -> generator index; generators found
+    linearly dependent on earlier modes are listed in ``skipped`` and produce
+    no mode.  ``overlaps[i, m]`` = <c_m, O_i> = beta - i gamma, with beta and
+    gamma O_i's components along Q_m and P_m.
     """
 
     generators: tuple[Generator, ...]
     pairing: PairingMatrix
-    gram: ExtendedGram
     alphas: np.ndarray
-    betas: np.ndarray
-    gammas: np.ndarray
-    q_coeffs: np.ndarray
-    p_coeffs: np.ndarray
+    overlaps: np.ndarray
+    coeffs: np.ndarray
     mode_generators: tuple[int, ...]
     skipped: tuple[int, ...]
 
@@ -120,12 +91,11 @@ def build_qic(
 ) -> QicModeSet:
     """Run the ordered mode recursion over the given generators.
 
-    Each step removes from O_i its overlap with the modes already built
-    (coefficients beta, gamma read off the symplectic form) and normalises
-    the remainder; generators whose remainder norm alpha_i^2 falls below
-    `DEGENERACY_EPS` relative to 2<O_i^2> are recorded as skipped.  A
-    remainder norm significantly below zero signals inaccurate pairings and
-    raises `NumericConsistencyError`.
+    Each step removes from O_i its overlaps <c_m, O_i> with the modes already
+    built and normalises the remainder; generators whose remainder norm
+    alpha_i^2 falls below `DEGENERACY_EPS` relative to 2<O_i^2> are recorded
+    as skipped.  A remainder norm significantly below zero signals inaccurate
+    pairings and raises `NumericConsistencyError`.
     """
     generators = tuple(generators)
     if not generators:
@@ -135,32 +105,24 @@ def build_qic(
     elif pairing.size != len(generators):
         raise ConfigurationError("pairing matrix size does not match generator count")
 
-    gram = extended_gram(pairing)
     k = len(generators)
-    W = gram.symplectic
-    M = gram.metric
-
-    q_list: list[np.ndarray] = []
-    p_list: list[np.ndarray] = []
+    H = 2.0 * pairing.entries.conj()  # H[a, b] = <O_a, O_b>
+    coeffs: list[np.ndarray] = []
     alphas: list[float] = []
-    betas = np.zeros((k, k))
-    gammas = np.zeros((k, k))
+    overlaps = np.zeros((k, k), dtype=complex)
     mode_generators: list[int] = []
     skipped: list[int] = []
 
     for i in range(k):
-        e_i = np.zeros(2 * k)
-        e_i[i] = 1.0
-        norm2 = 2.0 * M[i, i]  # 2 <O_i^2>
-        resid = e_i.copy()
+        norm2 = H[i, i].real  # 2 <O_i^2>
+        resid = np.zeros(k, dtype=complex)
+        resid[i] = 1.0
         alpha2 = norm2
-        for m, (qm, pm) in enumerate(zip(q_list, p_list)):
-            b = W[i] @ pm   # (1/i)<[O_i, P_m]>
-            g = -(W[i] @ qm)  # -(1/i)<[O_i, Q_m]>
-            betas[i, m] = b
-            gammas[i, m] = g
-            resid -= b * qm + g * pm
-            alpha2 -= b * b + g * g
+        for m, c in enumerate(coeffs):
+            o = np.vdot(c, H[:, i])
+            overlaps[i, m] = o
+            resid -= o * c
+            alpha2 -= o.real * o.real + o.imag * o.imag
         if alpha2 <= DEGENERACY_EPS * norm2:
             if alpha2 < -1e-8 * norm2:
                 raise NumericConsistencyError(
@@ -170,10 +132,7 @@ def build_qic(
             skipped.append(i)
             continue
         alpha = math.sqrt(alpha2)
-        q_i = resid / alpha
-        p_i = gram.apply_f(q_i)
-        q_list.append(q_i)
-        p_list.append(p_i)
+        coeffs.append(resid / alpha)
         alphas.append(alpha)
         mode_generators.append(i)
 
@@ -181,39 +140,24 @@ def build_qic(
     return QicModeSet(
         generators=generators,
         pairing=pairing,
-        gram=gram,
         alphas=np.array(alphas),
-        betas=betas[:, :n].copy(),
-        gammas=gammas[:, :n].copy(),
-        q_coeffs=np.array(q_list) if q_list else np.zeros((0, 2 * k)),
-        p_coeffs=np.array(p_list) if p_list else np.zeros((0, 2 * k)),
+        overlaps=overlaps[:, :n].copy(),
+        coeffs=np.array(coeffs).reshape(n, k),
         mode_generators=tuple(mode_generators),
         skipped=tuple(skipped),
     )
 
 
-def _interleaved_coeffs(modes: QicModeSet) -> np.ndarray:
-    """Coefficient rows of the mode basis (Q_1, P_1, Q_2, ...), shape (2n, 2k)."""
-    B = np.empty((2 * modes.n_modes, modes.q_coeffs.shape[1]))
-    B[0::2] = modes.q_coeffs
-    B[1::2] = modes.p_coeffs
-    return B
+def mode_gram(modes: QicModeSet) -> np.ndarray:
+    """G[m, n] = <c_m, c_n> over the mode set.
 
-
-def symplectic_gram(modes: QicModeSet) -> np.ndarray:
-    """(1/i)<[., .]> over the interleaved mode basis (Q_1, P_1, Q_2, ...).
-
-    Equals the standard symplectic form for an exactly orthonormal set.
+    Re G = <{Q_m, Q_n}> and Im G = -(1/i)<[Q_m, Q_n]>; the entries with
+    P_m <-> -i c_m follow by sesquilinearity.  So G is the identity exactly
+    when the quadratures have covariance identity / 2 and the canonical
+    commutators.
     """
-    B = _interleaved_coeffs(modes)
-    return B @ modes.gram.symplectic @ B.T
-
-
-def covariance_matrix(modes: QicModeSet) -> np.ndarray:
-    """Re second moments over the interleaved mode basis; purity in the
-    standard form means this equals identity / 2."""
-    B = _interleaved_coeffs(modes)
-    return B @ modes.gram.metric @ B.T
+    C = modes.coeffs
+    return C.conj() @ (2.0 * modes.pairing.entries.conj()) @ C.T
 
 
 # --------------------------------------------------------------------------
@@ -285,6 +229,7 @@ class FieldGrid:
     ``q_field``/``q_momentum`` weight the field operator and its conjugate
     momentum in the first quadrature of each mode; ``p_field``/``p_momentum``
     do the same for the second quadrature.  Shapes: (n_modes, *grid shape).
+    Each q/p pair is the real and imaginary view of one complex array.
     """
 
     dimension: int
@@ -340,38 +285,31 @@ def weighting_grid(
         raise ConfigurationError(f"grid of {n_points} points x {len(modes.generators)} generators "
                                  f"exceeds the budget of {MAX_GRID_VALUES} values")
     pts = spec.points()
-    if len(pts) == 0:
-        raise ConfigurationError("grid is empty")
 
-    # per-generator weighting components at time t
+    # per-generator mode function I and its time derivative dI at time t
     k = len(modes.generators)
-    v1, v2, u1, u2 = np.empty((4, k, len(pts)))
+    I, dI = np.empty((2, k, len(pts)), dtype=complex)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         def rows(fn, r):  # an evaluator's distinct radii and table rows, split over the pool
             return np.concatenate(list(pool.map(fn, np.array_split(r, 4 * threads))))
 
         for j, gen in enumerate(modes.generators):
             dx = np.linalg.norm(pts - np.asarray(gen.smearing.center), axis=1)
-            I, dI = ModeProfileEvaluator(gen, t, d, dx, tol=tol, rows=rows).evaluate(dx)
-            v1[j], v2[j] = 2.0 * dI.imag, -2.0 * I.imag
-            u1[j], u2[j] = -2.0 * dI.real, 2.0 * I.real
+            I[j], dI[j] = ModeProfileEvaluator(gen, t, d, dx, tol=tol, rows=rows).evaluate(dx)
 
-    shape = spec.shape
-
-    def weights(coeffs, v, u):
-        """coeffs[m, :k] @ v + coeffs[m, k:] @ u per selected mode m, on the grid."""
-        out = np.empty((len(selected),) + shape)
-        for row, m in enumerate(selected):
-            out[row] = (coeffs[m, :k] @ v + coeffs[m, k:] @ u).reshape(shape)
-        return out
-
+    # einsum sums each point's k terms in one fixed order, so points with
+    # equal radii to every generator get equal bits (a BLAS product need not)
+    C = modes.coeffs[selected]
+    shape = (len(selected),) + spec.shape
+    field = np.einsum("mk,kn->mn", -2j * C, dI).reshape(shape)  # q_field + i p_field
+    momentum = np.einsum("mk,kn->mn", 2j * C, I).reshape(shape)  # q_momentum + i p_momentum
     return FieldGrid(
         dimension=d,
         t=float(t),
         spec=spec,
         mode_indices=tuple(selected),
-        q_field=weights(modes.q_coeffs, v1, u1),
-        q_momentum=weights(modes.q_coeffs, v2, u2),
-        p_field=weights(modes.p_coeffs, v1, u1),
-        p_momentum=weights(modes.p_coeffs, v2, u2),
+        q_field=field.real,
+        q_momentum=momentum.real,
+        p_field=field.imag,
+        p_momentum=momentum.imag,
     )

@@ -78,7 +78,6 @@ def test_acceptance_3_closed_form_constants():
 
 PROPERTY_CHECKS = (
     "ccr",
-    "involution",
     "antisymmetry",
     "hermiticity",
     "microcausality",

@@ -203,6 +203,11 @@ class TestDistributionValidation:
         with pytest.raises(NumericConsistencyError):
             _finalize_distribution(np.array([0.7, 0.2]))
 
+    def test_moment_shapes_must_match_couplings(self):
+        for V, m in ((np.eye(2), np.zeros(3)), (np.eye(3), np.zeros(2)), (np.eye(3), np.zeros((3, 1)))):
+            with pytest.raises(ConfigurationError, match="^moment shapes do not match coupling count$"):
+                distribution_from_moments(ChannelMoments(V, m, 0.0), [0.2] * 3, 1.0)
+
 
 class TestMarginalize:
     def test_full_subset_is_identity(self, captable_3):

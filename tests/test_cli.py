@@ -510,6 +510,12 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
     (["capacity"], {"scenario": "table1"}, "inline scenario must be an object"),
     (_EVOLVE, {"scenario": {"generators": []}}, "inline scenario has no generators"),
     (_EVOLVE[:3], {"scenario": {"generators": [_GAUSS]}}, "no grid: pass --grid"),
+    # names that are not strings are refused before any lookup by name
+    (["capacity"], {"preset": ["single"]}, "config key 'preset' must be a JSON str"),
+    (["capacity"], {"preset": {"a": 1}}, "config key 'preset' must be a JSON str"),
+    (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "kind": ["gaussian"]}]}},
+     "generator key 'kind' must be a JSON str"),
+    (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "kind": "disc"}]}}, "unknown generator kind 'disc'"),
 ], ids=["grid-value", "grid-inf", "config-json", "config-not-utf8", "config-deep", "config-long-int",
         "no-alice", "no-r-outer", "sigma-text", "center-number", "alice-number", "bobs-number", "bobs-empty", "bobs-over-budget",
         "generators-number",
@@ -521,7 +527,8 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
         "time-overflow", "degeneracy-eps", "no-mode",
         "capacity-evolve-keys", "evolve-capacity-keys", "gaussian-shell-key", "config-not-object",
         "grid-axis-count", "grid-axis-no-name", "grid-axis-two-fields", "grid-fixed-inf",
-        "no-scenario", "scenario-name", "generators-empty", "no-grid"])
+        "no-scenario", "scenario-name", "generators-empty", "no-grid",
+        "preset-list", "preset-object", "kind-list", "kind-unknown"])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, argv, config, named):
     argv = argv + ["--out", str(tmp_path / "out")]
     if config is not None:
@@ -548,10 +555,10 @@ def test_whole_number_settings_accepted(tmp_path, value):
 
 class TestValidateCommand:
     def test_only_filter(self, capsys):
-        assert main(["validate", "--only", "closed-form,involution"]) == 0
+        assert main(["validate", "--only", "closed-form,ccr"]) == 0
         out = capsys.readouterr().out
         assert "closed-form d=3" in out
-        assert "f o f = -id" in out
+        assert "ccr/purity d=3" in out
         assert "huygens" not in out
 
     def test_unknown_check_rejected(self, capsys):
@@ -580,15 +587,15 @@ class TestValidateCommand:
 
 
 def test_parser_is_built_once(monkeypatch):
-    assert main(["validate", "--only", "involution"]) == 0  # builds it, if no earlier call did
+    assert main(["validate", "--only", "closed-form"]) == 0  # builds it, if no earlier call did
     built = []
     monkeypatch.setattr(cli.argparse, "ArgumentParser", lambda *a, **k: built.append(a))
-    assert main(["validate", "--only", "involution"]) == 0
+    assert main(["validate", "--only", "closed-form"]) == 0
     assert built == []
 
 
 def test_command_is_looked_up_when_it_runs(monkeypatch):
     # a tracer that wraps `cmd_*` after the first call still sees every later one
-    assert main(["validate", "--only", "involution"]) == 0
+    assert main(["validate", "--only", "closed-form"]) == 0
     monkeypatch.setattr(cli, "cmd_validate", lambda args: 7)
-    assert main(["validate", "--only", "involution"]) == 7
+    assert main(["validate", "--only", "closed-form"]) == 7

@@ -15,13 +15,13 @@ from qicsim.qic import (
     GridAxis,
     GridSpec,
     build_qic,
-    covariance_matrix,
-    extended_gram,
-    symplectic_gram,
+    mode_gram,
     weighting_grid,
 )
 from qicsim.scenarios import shockwave_scenario, single_qic_scenario
 from qicsim.smearing import RadialSmearing
+
+from oracles import apply_f, real_forms, real_mode_recursion
 
 SIGMA = 0.2
 
@@ -41,44 +41,43 @@ def random_generators(seed, d, n):
     return gens
 
 
+def complex_of(u):
+    """The complex coefficient vector x - i y of the real 2k vector (x, y)."""
+    k = len(u) // 2
+    return u[:k] - 1j * u[k:]
+
+
 class TestExtendedGram:
+    """The real 2k forms of the reference recursion in `oracles`."""
+
     def test_single_generator_commutation(self):
         gen = single_qic_scenario(3)[0]
         pm = pairing_matrix([gen], 3)
-        gram = extended_gram(pm)
+        _, W = real_forms(pm.entries)
         e0 = np.array([1.0, 0.0])
-        f0 = gram.apply_f(e0)
         # (1/i) <[O, f(O)]> = 2 <O^2>
-        assert e0 @ gram.symplectic @ f0 == pytest.approx(
-            2.0 * pm.entries[0, 0].real, rel=1e-12
-        )
+        assert e0 @ W @ apply_f(e0) == pytest.approx(2.0 * pm.entries[0, 0].real, rel=1e-12)
 
     def test_f_is_involution_up_to_sign(self):
-        gens = shockwave_scenario(3)
-        gram = extended_gram(pairing_matrix(gens, 3))
+        # and on complex coefficient vectors f is multiplication by -i
+        k = len(shockwave_scenario(3))
         rng = np.random.default_rng(2)
         for _ in range(20):
-            u = rng.normal(size=2 * len(gens))
-            assert np.array_equal(gram.apply_f(gram.apply_f(u)), -u)
+            u = rng.normal(size=2 * k)
+            assert np.array_equal(apply_f(apply_f(u)), -u)
+            assert np.array_equal(complex_of(apply_f(u)), -1j * complex_of(u))
 
     def test_f_preserves_commutators(self):
-        gens = shockwave_scenario(2)
-        gram = extended_gram(pairing_matrix(gens, 2))
+        _, W = real_forms(pairing_matrix(shockwave_scenario(2), 2).entries)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            u, v = rng.normal(size=(2, 2 * len(gens)))
-            assert gram.apply_f(u) @ gram.symplectic @ gram.apply_f(v) == pytest.approx(
-                u @ gram.symplectic @ v, rel=1e-12, abs=1e-12
-            )
+            u, v = rng.normal(size=(2, len(W)))
+            assert apply_f(u) @ W @ apply_f(v) == pytest.approx(u @ W @ v, rel=1e-12, abs=1e-12)
 
     def test_metric_is_half_f_of_symplectic(self):
-        gens = shockwave_scenario(3)
-        gram = extended_gram(pairing_matrix(gens, 3))
-        k = len(gens)
-        F = np.zeros((2 * k, 2 * k))
-        F[:k, k:] = -np.eye(k)
-        F[k:, :k] = np.eye(k)
-        assert np.allclose(gram.metric, 0.5 * F @ gram.symplectic, atol=1e-15)
+        M, W = real_forms(pairing_matrix(shockwave_scenario(3), 3).entries)
+        F = np.array([apply_f(e) for e in np.eye(len(M))]).T  # the matrix of f
+        assert np.allclose(M, 0.5 * F @ W, atol=1e-15)
 
     def test_antisymmetry_from_independent_orientations(self):
         # both orientations integrated separately; the two commutator
@@ -112,43 +111,33 @@ class TestBuildQic:
         assert modes.n_modes == 1
         assert modes.skipped == (1,)
         # exact linear dependence forces beta = alpha_1, gamma = 0
-        assert modes.betas[1, 0] == pytest.approx(modes.alphas[0], rel=1e-12)
-        assert modes.gammas[1, 0] == pytest.approx(0.0, abs=1e-14)
+        assert modes.overlaps[1, 0].real == pytest.approx(modes.alphas[0], rel=1e-12)
+        assert modes.overlaps[1, 0].imag == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("d", (3, 2))
     def test_shockwave_standard_form(self, d):
         modes = build_qic(shockwave_scenario(d), d)
         assert modes.n_modes == 3
         assert modes.skipped == ()
-        n = modes.n_modes
-        J = np.zeros((2 * n, 2 * n))
-        for m in range(n):
-            J[2 * m, 2 * m + 1] = 1.0
-            J[2 * m + 1, 2 * m] = -1.0
-        symp, cov = symplectic_gram(modes), covariance_matrix(modes)
-        assert np.abs(symp - J).max() <= 1e-8
-        assert np.abs(cov - np.eye(2 * n) / 2).max() <= 1e-8
-        # the matrix products agree entry by entry with the bilinear forms
-        basis = [v for m in range(n) for v in (modes.q_coeffs[m], modes.p_coeffs[m])]
-        for a, u in enumerate(basis):
-            for b, v in enumerate(basis):
-                assert symp[a, b] == pytest.approx(u @ modes.gram.symplectic @ v, abs=1e-14)
-                assert cov[a, b] == pytest.approx(u @ modes.gram.metric @ v, abs=1e-14)
+        G = mode_gram(modes)
+        assert np.abs(G - np.eye(modes.n_modes)).max() <= 1e-8
+        # entry by entry, Re G = 2 M and Im G = -W on the modes' real 2k vectors
+        M, W = real_forms(modes.pairing.entries)
+        q = np.hstack([modes.coeffs.real, -modes.coeffs.imag])
+        for a, u in enumerate(q):
+            for b, v in enumerate(q):
+                assert G[a, b].real == pytest.approx(2.0 * u @ M @ v, abs=1e-14)
+                assert G[a, b].imag == pytest.approx(-(u @ W @ v), abs=1e-14)
 
     def test_random_generator_sets_standard_form(self):
         for seed, d in ((5, 3), (6, 2)):
             gens = random_generators(seed, d, 4)
             modes = build_qic(gens, d)
-            n = modes.n_modes
-            J = np.zeros((2 * n, 2 * n))
-            for m in range(n):
-                J[2 * m, 2 * m + 1] = 1.0
-                J[2 * m + 1, 2 * m] = -1.0
-            assert np.abs(symplectic_gram(modes) - J).max() <= 1e-8
+            assert np.abs(mode_gram(modes) - np.eye(modes.n_modes)).max() <= 1e-8
 
     def test_rescaling_leaves_modes_invariant(self):
         # scaling O_i by c rescales coefficients by 1/c against the scaled
-        # basis, so symplectic pairings against a fixed probe are unchanged
+        # basis, so the form <c_m, probe> against a fixed probe is unchanged
         gens = shockwave_scenario(3)
         pm = pairing_matrix(gens, 3)
         modes = build_qic(gens, 3, pairing=pm)
@@ -158,29 +147,44 @@ class TestBuildQic:
             entries=D @ pm.entries @ D, errors=D @ pm.errors @ D, dimension=3
         )
         modes_scaled = build_qic(gens, 3, pairing=pm_scaled)
-        probe = np.array([0.3, -0.7, 1.1, 0.2, 0.5, -0.4])
+        probe = complex_of(np.array([0.3, -0.7, 1.1, 0.2, 0.5, -0.4]))
         # the probe written over the scaled basis has components w / c
-        scale_vec = np.concatenate([scales, scales])
-        probe_scaled = probe / scale_vec
+        probe_scaled = probe / scales
+
+        def form(modes, m, z):  # <c_m, z>: Q_m's and P_m's pairings with z
+            return np.vdot(modes.coeffs[m], 2.0 * modes.pairing.entries.conj() @ z)
+
         for m in range(3):
-            for vec, vec_s in (
-                (modes.q_coeffs[m], modes_scaled.q_coeffs[m]),
-                (modes.p_coeffs[m], modes_scaled.p_coeffs[m]),
-            ):
-                a = vec @ modes.gram.symplectic @ probe
-                b = vec_s @ modes_scaled.gram.symplectic @ probe_scaled
-                assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
+            a, b = form(modes, m, probe), form(modes_scaled, m, probe_scaled)
+            assert a.real == pytest.approx(b.real, rel=1e-10, abs=1e-12)
+            assert a.imag == pytest.approx(b.imag, rel=1e-10, abs=1e-12)
 
     def test_recursion_is_lower_triangular(self):
         gens = shockwave_scenario(3)
         short = build_qic(gens[:2], 3)
         full = build_qic(gens, 3)
         for m in range(short.n_modes):
-            qs, qf = short.q_coeffs[m][:2], short.q_coeffs[m][2:]
-            ql, qlf = full.q_coeffs[m][:3], full.q_coeffs[m][3:]
-            assert np.array_equal(qs, ql[:2])
-            assert np.array_equal(qf, qlf[:2])
-            assert ql[2] == 0.0 and qlf[2] == 0.0
+            assert np.array_equal(short.coeffs[m], full.coeffs[m][:2])
+            assert full.coeffs[m][2] == 0.0
+
+    def test_complex_modes_match_real_recursion(self):
+        # Gram-Schmidt in k complex dimensions against the recursion over the
+        # real 2k basis: c_m = x - i y for Q_m = (x, y), -i c_m for P_m = f(Q_m),
+        # overlaps = beta - i gamma
+        gen = single_qic_scenario(3)[0]
+        cases = [(shockwave_scenario(d), d) for d in (3, 2)]
+        cases += [(random_generators(seed, d, 4), d) for seed, d in ((5, 3), (6, 2), (11, 3))]
+        cases += [(shockwave_scenario(3) + [gen, shockwave_scenario(3)[1]], 3)]  # a repeat
+        for gens, d in cases:
+            modes = build_qic(gens, d)
+            ref = real_mode_recursion(modes.pairing.entries)
+            assert modes.skipped == ref["skipped"] and modes.n_modes == len(ref["q"])
+            scale = np.abs(ref["q"]).max()
+            for vecs, coeffs in ((ref["q"], modes.coeffs), (ref["p"], -1j * modes.coeffs)):
+                assert np.abs(coeffs - [complex_of(v) for v in vecs]).max() <= 1e-14 * scale
+            scale = np.sqrt(2.0 * np.diag(modes.pairing.entries).real.max())
+            assert np.abs(modes.overlaps - (ref["betas"] - 1j * ref["gammas"])).max() <= 1e-14 * scale
+            assert modes.alphas == pytest.approx(ref["alphas"], rel=1e-14)
 
     def test_inconsistent_pairing_raises(self):
         gen = single_qic_scenario(3)[0]
@@ -295,6 +299,23 @@ class TestWeightingGrid:
             two = weighting_grid(modes, None, t, spec, threads=2)
             for name in ("q_field", "q_momentum", "p_field", "p_momentum"):
                 assert np.array_equal(getattr(one, name), getattr(two, name))
+
+    def test_points_with_equal_radii_get_equal_bits(self):
+        # three d=3 Gaussians on the x axis, off the grid's centre: the
+        # lattice points fall into classes of one radius to every emitter,
+        # and each class's weight rows must match bit for bit
+        gens = [Generator(RadialSmearing.gaussian(0.2, (x, 0.0, 0.0), 3), coupling_time=t0)
+                for x, t0 in ((1.25, 0.0), (2.5, 1.0), (3.75, 2.0))]
+        spec = GridSpec(axes=(GridAxis(-3.0, 8.0, 0.05), GridAxis(-4.0, 4.0, 0.05), 0.0))
+        fg = weighting_grid(build_qic(gens, 3), None, 4.0, spec)
+        pts = spec.points()
+        radii = np.stack([np.linalg.norm(pts - g.smearing.center, axis=1) for g in gens], axis=1)
+        _, first, cls = np.unique(radii, axis=0, return_index=True, return_inverse=True)
+        rows = np.concatenate([getattr(fg, name).reshape(fg.q_field.shape[0], -1).T
+                               for name in ("q_field", "q_momentum", "p_field", "p_momentum")], axis=1)
+        bits = np.ascontiguousarray(rows).view(np.uint64)
+        assert len(first) < len(pts)  # classes of several points exist
+        assert np.array_equal(bits, bits[first[cls.ravel()]])
 
     def test_interpolated_grids_do_not_change_bytes(self, monkeypatch):
         # off-lattice grids: one emitter on 41 x 41 points (a 513-point

@@ -109,7 +109,7 @@ def test_damped_tail_bytes_do_not_depend_on_cpu_count(monkeypatch):
         return value.real.hex(), value.imag.hex(), err.hex()
 
     every = hexes()
-    for cpus in ({0}, {0, 1, 2}):  # one slab per block; three uneven slabs per block
+    for cpus in ({0}, {0, 1, 2}):  # a pool of one thread; of three, over the same fixed blocks
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         assert hexes() == every
 

@@ -35,7 +35,6 @@ class TestTable1Preset:
         assert radii == [(0.0, 0.9), (1.1, 2.9), (3.1, 4.0)]
         assert all(b.coupling == 0.2 for b in sc.bobs)
         assert all(b.coupling_time == 2.0 for b in sc.bobs)
-        assert sc.delta_t == 2.0
 
     @pytest.mark.parametrize("d", (3, 2))
     def test_geometry_classes(self, d):
@@ -44,8 +43,9 @@ class TestTable1Preset:
     def test_geometry_margins(self):
         sc = table1_scenario(3)
         r_a = sc.alice.smearing.r_outer
-        assert sc.delta_t - r_a > sc.bobs[0].smearing.r_outer  # 1 > 0.9
-        assert r_a + sc.delta_t < sc.bobs[2].smearing.r_inner  # 3 < 3.1
+        delta_t = sc.bobs[0].coupling_time - sc.alice.coupling_time
+        assert delta_t - r_a > sc.bobs[0].smearing.r_outer  # 1 > 0.9
+        assert r_a + delta_t < sc.bobs[2].smearing.r_inner  # 3 < 3.1
 
 
 class TestEvolvePresets:
@@ -84,6 +84,10 @@ class TestEvolvePresets:
         g2 = default_grid("shockwave", 2)
         assert g2.axes[0] == GridAxis(0.0, 16.0, 0.1)
         assert g2.axes[1] == GridAxis(-8.0, 8.0, 0.1)
+
+    def test_channel_preset_has_no_default_grid(self):
+        with pytest.raises(ConfigurationError, match="^no default grid for preset 'table1'$"):
+            default_grid("table1", 3)
 
 
 class TestPresetRegistry:

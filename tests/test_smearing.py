@@ -78,6 +78,12 @@ class TestConstruction:
             with pytest.raises(ConfigurationError):
                 RadialSmearing.hard_shell(r_inner, r_outer, (0, 0, 0), 3)
 
+    def test_shell_without_radii_and_unknown_kind(self):
+        with pytest.raises(ConfigurationError, match="^hard shell needs r_inner and r_outer$"):
+            RadialSmearing("hard_shell", 3, (0, 0, 0), r_outer=1.0)
+        with pytest.raises(ConfigurationError, match="^unknown smearing kind 'disc'$"):
+            RadialSmearing("disc", 3, (0, 0, 0), sigma=0.2)
+
     def test_bad_dimension(self):
         with pytest.raises(ConfigurationError):
             RadialSmearing.gaussian(0.2, (0.0,), 1)
