@@ -40,8 +40,8 @@ import numpy as np
 from scipy.special import dawsn, j0
 
 from .errors import ConfigurationError, QuadratureError, naming
-from .quadrature import (ROUNDING, _gauss_legendre, _merged, certified_rule, damped_tail_integral,
-                         oscillatory_integral, power_tails)
+from .quadrature import (DAMPING_NODES, ROUNDING, _gauss_legendre, _merged, certified_rule,
+                         damped_tail_integral, oscillatory_integral, power_tails)
 from .smearing import GAUSSIAN, HARD_SHELL, ft_frequencies, ft_gauss_decay, radial_ft
 
 
@@ -416,14 +416,22 @@ def pairing(gen_i, gen_j, d: int, tol: float = 1e-10) -> complex:
     return pairing_detail(gen_i, gen_j, d, tol)[0]
 
 
+# The m-th derivative of e^{-g k^2 / 2} is (-sqrt(g))^m He_m(sqrt(g) k) e^{-g k^2 / 2},
+# and |He_m(x)| e^{-x^2 / 4} <= 1.0865 sqrt(m!) (Cramer, A&S 22.14.17), so the
+# envelope's rate for the damped rule's 2n = 2 DAMPING_NODES derivatives is
+# sqrt(g) (1.0865 sqrt((2n)!))^(1/2n); the root grows with m, so it bounds m < 2n too
+ENVELOPE_RATE = (1.0865 * math.sqrt(math.factorial(2 * DAMPING_NODES))) ** (0.5 / DAMPING_NODES)
+
+
 def pairing_damped(gen_i, gen_j, d: int) -> tuple[complex, float]:
     """Independent damped-tail evaluation of the pairing (cross-check path),
-    one path for every profile kind.  Its rate omega adds the width sqrt(g_i + g_j)
-    of the Gaussian envelope (`ft_gauss_decay`, 0 for shells) to the phases' rates."""
+    one path for every profile kind.  Its rate omega adds the Gaussian
+    envelope's rate ENVELOPE_RATE sqrt(g_i + g_j) (`ft_gauss_decay`, 0 for
+    shells) to the phases' rates."""
     (si, sj), dx, tau = _pair_setup(gen_i, gen_j, d)
     integrand = _radial_integrand(d, dx, tau, (si, sj))
     omega = (abs(tau) + dx + sum(ft_frequencies(si)) + sum(ft_frequencies(sj))
-             + math.sqrt(ft_gauss_decay(si) + ft_gauss_decay(sj)))
+             + ENVELOPE_RATE * math.sqrt(ft_gauss_decay(si) + ft_gauss_decay(sj)))
     return damped_tail_integral(integrand, omega)
 
 

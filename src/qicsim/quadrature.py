@@ -30,8 +30,9 @@ Strategy
   with a log-aware model (the eta^2 ln eta term is real; a pure polynomial
   extrapolation stalls on it).  One integrand pass serves all eta rungs.
   Its grid follows from two bounds: rung eta stops where e^{-eta k} = eps,
-  and DAMPING_NODES per segment of phase <= pi leave a remainder < 1e-26.
-  A grid over the DAMPING_SEGMENTS budget is refused before any evaluation.
+  and DAMPING_NODES = 24 per segment of phase <= DAMPING_PHASE = 6 pi leave
+  a remainder < 2.6e-29 of the segment's length.  A grid over the
+  DAMPING_SEGMENTS budget is refused before any evaluation.
   The grid is summed in fixed blocks of DAMPING_BLOCK segments, added in
   block order whatever the CPU count.  It shares no tail code with the
   primary path and is used by the test suite as the second quadrature
@@ -57,9 +58,10 @@ MAX_SEGMENTS = 1 << 17  # panel cap of `panel_nodes`
 PANEL_NODES = 8  # starting Gauss-Legendre nodes per panel (doubled until certified)
 DAMPING_ETA0 = 0.04  # largest damping rate of `damped_tail_integral`
 DAMPING_RUNGS = 7  # its damping rates: DAMPING_ETA0 / 2^j, j < DAMPING_RUNGS
-DAMPING_NODES = 12  # its Gauss-Legendre nodes per segment
-DAMPING_BLOCK = 1250  # its segments per block, the unit of work and of summation
-DAMPING_SEGMENTS = 1 << 21  # its grid budget, 7.5x the test suite's largest grid (279,025)
+DAMPING_NODES = 24  # its Gauss-Legendre nodes per segment
+DAMPING_PHASE = 6.0 * math.pi  # its segments' length times (omega + 1)
+DAMPING_BLOCK = 625  # its segments per block (15,000 points), the unit of work and of summation
+DAMPING_SEGMENTS = 1 << 20  # its grid budget (25,165,824 points), 22.5x the suite's largest grid
 EXPINT_CUT = 2.0  # `expint` takes the continued fraction at |z| >= EXPINT_CUT, the series below
 EXPINT_STEPS = 1000  # its continued-fraction step cap
 EXPINT_SERIES = 32  # its series terms: 2^32 / 32! < 1e-25
@@ -256,12 +258,15 @@ def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
     Integrates f(k) e^{-eta k} (absolutely convergent) for eta = DAMPING_ETA0 / 2^j,
     j < DAMPING_RUNGS, and extrapolates eta -> 0 with the model
     a0 + a1 eta + a2 eta^2 + a3 eta^2 ln eta + a4 eta^3 + a5 eta^3 ln eta.
-    One integrand pass over the smallest eta's grid (segments of pi/(omega+1))
-    serves every rung; rung eta sums only k <= DAMPING_CUTOFF / eta (e^{-eta k} <= eps).
-    ``omega`` bounds every rate f varies at, envelope too: a segment h has phase
-    h omega < pi, and the 12-node remainder (A&S 25.4.30) h (h omega)^24 (12!)^4 /
-    (25 (24!)^3) is < 1e-26 h.  NaN, infinite or negative: `ConfigurationError`;
-    so is a grid of more than DAMPING_SEGMENTS segments, before any evaluation.
+    One integrand pass over the smallest eta's grid (segments of
+    DAMPING_PHASE/(omega+1) = 6 pi/(omega+1)) serves every rung; rung eta sums
+    only k <= DAMPING_CUTOFF / eta (e^{-eta k} <= eps).  ``omega`` bounds every
+    rate f varies at, envelope too (|f^(48)| <= omega^48 times f's scale): a
+    segment h has phase h omega < 6 pi, and the 24-node remainder (A&S 25.4.30)
+    h (h omega)^48 (24!)^4 / (49 (48!)^3) is < 2.6e-29 h.  NaN, infinite or
+    negative: `ConfigurationError`; so is a grid of more than DAMPING_SEGMENTS
+    segments (22.5x the test suite's largest, 46,505 at omega = 14.2; omega = 1e6
+    would need 3.06e9), before any evaluation.
     Slow but accurate; intended for cross-checks, not production paths.
 
     The grid is cut into fixed blocks of DAMPING_BLOCK segments.  `Executor.map`
@@ -273,7 +278,7 @@ def damped_tail_integral(integrand, omega: float) -> tuple[complex, float]:
     """
     if not 0.0 <= omega < math.inf:
         raise ConfigurationError(f"damped-tail integral: omega = {omega!r}, not a finite number >= 0")
-    h = math.pi / (omega + 1.0)
+    h = DAMPING_PHASE / (omega + 1.0)
     etas = DAMPING_ETA0 * 0.5 ** np.arange(DAMPING_RUNGS)
     counts = [int(math.ceil(DAMPING_CUTOFF / eta / h)) for eta in etas]
     total = counts[-1]

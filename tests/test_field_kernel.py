@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import hermite_e
 from scipy.special import hyp2f1
 
 from oracles import spacelike_separated
 from qicsim.errors import ConfigurationError, QuadratureError
 from qicsim.field_kernel import (
+    ENVELOPE_RATE,
     ModeProfileEvaluator,
     _gaussian_mode_closed,
     _pair_geometry,
@@ -23,7 +25,7 @@ from qicsim.field_kernel import (
     radial_integral,
 )
 from qicsim.qic import Generator
-from qicsim.quadrature import MAX_SEGMENTS, segment_integrals
+from qicsim.quadrature import DAMPING_NODES, MAX_SEGMENTS, segment_integrals
 from qicsim.scenarios import shockwave_scenario
 from qicsim.smearing import RadialSmearing, ft_frequencies, ft_gauss_decay, radial_ft
 
@@ -168,13 +170,28 @@ def test_damped_oracle_covers_gaussian_pairs():
 
 def test_damped_oracle_resolves_wide_gaussian_envelopes():
     # concentric wide Gaussians at one time: every phase frequency is 0, so
-    # only the envelope's width sqrt(g_i + g_j) sizes the damped grid
+    # only the envelope's rate ENVELOPE_RATE sqrt(g_i + g_j) sizes the damped grid
     for d in (2, 3):
         gi, gj = gen_gaussian(d, sigma=2.0), gen_gaussian(d, sigma=1.5)
         val, _ = pairing_detail(gi, gj, d)
         damped, damped_err = pairing_damped(gi, gj, d)
         scale = math.sqrt(pairing(gi, gi, d).real * pairing(gj, gj, d).real)
         assert abs(val - damped) <= 1e-9 * scale + 2.0 * damped_err, (d, val, damped, damped_err)
+
+
+def test_envelope_rate_bounds_the_gaussian_derivatives():
+    # the m-th derivative of e^{-x^2/2} is (-1)^m He_m(x) e^{-x^2/2} (x = sqrt(g) k
+    # scales the m-th by sqrt(g)^m); on a grid much finer than He_48's zero spacing
+    # (~0.3) and past its largest zero (~13.9): Cramer's |He_m| e^{-x^2/4} <= 1.0865
+    # sqrt(m!), and |He_m| e^{-x^2/2} <= ENVELOPE_RATE^m (4.34^m at 24 nodes, not
+    # the width's 1^m) for every order the damped rule's remainder meets, m <= 2 DAMPING_NODES
+    two_n = 2 * DAMPING_NODES
+    assert ENVELOPE_RATE == (1.0865 * math.sqrt(math.factorial(two_n))) ** (1.0 / two_n)
+    x = np.linspace(-20.0, 20.0, 40001)
+    he = np.abs(hermite_e.hermevander(x, two_n))
+    for m in range(1, two_n + 1):
+        assert np.max(he[:, m] * np.exp(-0.25 * x * x)) <= 1.0865 * math.sqrt(math.factorial(m)), m
+        assert np.max(he[:, m] * np.exp(-0.5 * x * x)) <= ENVELOPE_RATE**m, m
 
 
 def test_damped_oracle_rejects_an_overflowing_time():

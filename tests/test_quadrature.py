@@ -3,6 +3,7 @@ import os
 import threading
 import time
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ def damped_tail_per_rung(integrand, omega, eta0=0.04, n_eta=7, nodes=quadrature.
     """Reference: each rung eta walks its own grid in DAMPING_BLOCK-segment
     blocks, adding each block's sum in order (the algorithm
     `damped_tail_integral` replaces), then the same fit."""
-    h = math.pi / (omega + 1.0)
+    h = quadrature.DAMPING_PHASE / (omega + 1.0)
     etas = eta0 * 0.5 ** np.arange(n_eta)
     vals = np.empty(n_eta, dtype=complex)
     for j, eta in enumerate(etas):
@@ -48,9 +49,9 @@ def algebraic(k):
 
 def test_damped_tail_matches_per_rung_reference_exactly():
     # omega = 3: the smallest rung spans many blocks, and the larger rungs
-    # end inside a block; omega = 0.0895: rungs 2-6 end exactly on a block's
-    # last segment (1250, 2500, ..., 20000 segments)
-    for omega in (3.0, 0.0895):
+    # end inside a block; omega = 2.2685: rungs 2-6 end exactly on a block's
+    # last segment (625, 1250, ..., 10000 segments)
+    for omega in (3.0, 2.2685):
         value, err = damped_tail_integral(algebraic, omega=omega)
         ref_value, ref_err = damped_tail_per_rung(algebraic, omega=omega)
         assert value == ref_value and err == ref_err
@@ -65,7 +66,7 @@ def test_damped_tail_evaluates_each_node_once():
 
     omega = 3.0
     damped_tail_integral(counted, omega)
-    h = math.pi / (omega + 1.0)
+    h = quadrature.DAMPING_PHASE / (omega + 1.0)
     eta_min = quadrature.DAMPING_ETA0 * 0.5 ** (quadrature.DAMPING_RUNGS - 1)
     assert sum(points) == int(math.ceil(quadrature.DAMPING_CUTOFF / eta_min / h)) * quadrature.DAMPING_NODES
 
@@ -76,11 +77,21 @@ def test_damped_tail_grid_premises():
     # below double rounding
     assert Decimal(-quadrature.DAMPING_CUTOFF).exp() <= Decimal(np.finfo(float).eps)
     # the nodes: DAMPING_NODES integrate e^{i theta k} over one segment of
-    # phase pi (the largest a segment of pi/(omega + 1) meets) to rounding
-    for theta in (math.pi, -math.pi):
-        rule = segment_integrals(lambda k: np.exp(1j * theta * k), np.array([0.0, 1.0]),
-                                 quadrature.DAMPING_NODES)[0]
-        assert abs(rule - (np.exp(1j * theta) - 1.0) / (1j * theta)) <= quadrature.ROUNDING
+    # phase 6 pi (the largest a segment of DAMPING_PHASE/(omega + 1) meets) to
+    # rounding, and 20 nodes do not
+    def miss(theta, nodes):
+        rule = segment_integrals(lambda k: np.exp(1j * theta * k), np.array([0.0, 1.0]), nodes)[0]
+        return abs(rule - (np.exp(1j * theta) - 1.0) / (1j * theta))
+
+    assert quadrature.DAMPING_PHASE == 6.0 * math.pi
+    for theta in (quadrature.DAMPING_PHASE, -quadrature.DAMPING_PHASE):
+        assert miss(theta, quadrature.DAMPING_NODES) <= quadrature.ROUNDING
+        assert miss(theta, 20) > quadrature.ROUNDING
+    # the A&S 25.4.30 remainder over that segment, per unit length, in exact
+    # integer arithmetic: (6 pi)^2n (n!)^4 / ((2n + 1) ((2n)!)^3) <= 1e-26, pi < 22/7
+    n = quadrature.DAMPING_NODES
+    assert (Fraction(6 * 22, 7) ** (2 * n) * math.factorial(n) ** 4
+            / ((2 * n + 1) * math.factorial(2 * n) ** 3)) <= Fraction(1, 10**26)
 
 
 @pytest.mark.parametrize("omega", [math.inf, math.nan, -1.0, -2.0])
@@ -97,8 +108,8 @@ def test_damped_tail_refuses_a_grid_over_budget_before_any_evaluation():
         raise AssertionError("the integrand is evaluated")
 
     start = time.perf_counter()
-    with pytest.raises(ConfigurationError, match=r"omega = 1000000\.0 needs 18356900290 segments "
-                                                 r"> DAMPING_SEGMENTS = 2097152"):
+    with pytest.raises(ConfigurationError, match=r"omega = 1000000\.0 needs 3059483382 segments "
+                                                 r"> DAMPING_SEGMENTS = 1048576"):
         damped_tail_integral(never, 1e6)
     assert time.perf_counter() - start < 1.0
 
@@ -118,7 +129,7 @@ def test_damped_tail_integrand_error_propagates_and_pool_stops():
     late = ConfigurationError("late block")
 
     def failing(k):
-        if k.min() > 50000.0:  # segment ~64000 of ~73000
+        if k.min() > 50000.0:  # segment ~10600 of ~12200
             raise late
         return algebraic(k)
 

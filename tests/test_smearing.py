@@ -201,8 +201,8 @@ def ft_oracle_full_nodes(s, k_vec, tol=1e-11):
     panels = []
 
     def evaluate(refine):
-        n_r = refine * (int(math.ceil(kmag * (r_hi - r_lo) / math.pi)) + 8)
-        n_th = refine * (int(math.ceil(kmag * r_hi / math.pi)) + 8)
+        n_r = refine * (int(math.ceil(kmag * (r_hi - r_lo) / (6.0 * math.pi))) + 4)
+        n_th = refine * (int(math.ceil(kmag * r_hi / (6.0 * math.pi))) + 4)
         panels.append((n_r, n_th))
         r, wr = _panel_gl(r_lo, r_hi, n_r)
         if s.dimension == 3:
@@ -235,9 +235,9 @@ def test_folded_oracle_matches_full_node_reference(profile):
     r_hi = 9.0 * profile.sigma if profile.kind == "gaussian" else profile.r_outer
     direction = np.array([2.0, -1.0, 2.0][: profile.dimension])
     direction /= np.linalg.norm(direction)
-    # refine-1 angular panel counts 11 (odd), 10 (even) and the suite's largest |k|
+    # refine-1 angular panel counts 5 (odd), 6 (even) and the suite's largest |k|
     odd_even = set()
-    for kmag in (2.5 * math.pi / r_hi, 1.5 * math.pi / r_hi, 50.0 / scale):
+    for kmag in (3.0 * math.pi / r_hi, 9.0 * math.pi / r_hi, 50.0 / scale):
         ref, panels = ft_oracle_full_nodes(profile, kmag * direction)
         odd_even.add(panels[0][1] % 2)
         val = ft_oracle(profile, kmag * direction)
@@ -249,7 +249,8 @@ def test_folded_oracle_matches_full_node_reference(profile):
 @pytest.mark.parametrize("n_panels", (1, 2, 11, 152, 193))
 def test_angular_panel_nodes_are_mirror_symmetric(n_panels, hi):
     # the folded angular rule pairs node j with node len - 1 - j; 193
-    # panels show the largest deviation (2.25 ulp of hi) up to n = 400
+    # panels of 24 nodes show the largest deviation (2.25 ulp of hi, as do
+    # 190) up to n = 400
     th, _ = _panel_gl(0.0, hi, n_panels)
     assert len(th) % 2 == 0
     assert np.max(np.abs(th[::-1] - (hi - th))) <= 4.0 * np.spacing(hi)
