@@ -8,9 +8,12 @@ shockwave   alias for ``evolve --preset shockwave``
 validate    run the invariant suite and report pass/fail with residuals
 
 A run is configured by an optional JSON config file (``--config``) whose
-keys are the long flags of its command plus an inline ``scenario``;
-explicit flags override config values.  Any other key, a flag of another
-command included, is rejected before any computation starts.
+keys are the long flags of its command plus an inline ``scenario``.  Any
+other key, a flag of another command included, is rejected before any
+computation starts.  A preset is the config `scenarios.preset` returns, so
+each setting comes from the first of: a flag that was given, the config
+file, the preset either names, the built-in default.  A config names a
+preset or carries a ``scenario``, not both.
 """
 
 from __future__ import annotations
@@ -23,14 +26,13 @@ import sys
 
 import numpy as np
 
-from .channel import capacity_table, make_channel_scenario
+from .channel import capacity_table
 from .errors import ConfigurationError, NumericConsistencyError, QuadratureError
-from .qic import Generator, GridAxis, GridSpec, build_qic, weighting_grid
-from .scenarios import PRESETS, preset, _serialize_generator
-from .smearing import GAUSSIAN, HARD_SHELL, RadialSmearing
+from .qic import GridAxis, GridSpec, build_qic, weighting_grid
+from .scenarios import (PRESETS, _number, _reject_unknown, _serialize_generator, _typed,
+                        preset, scenario_from_config)
+from .smearing import GAUSSIAN
 from .validate import run_checks
-
-_GEN_COMMON = ("t", "coupling", "amplitude")  # numeric keys of every generator kind
 
 _CSV_BLOCK_ROWS = 4096
 
@@ -45,91 +47,46 @@ def _fmt_rows(values: np.ndarray) -> list[str]:
     return (row * len(values) % tuple(values.ravel().tolist())).splitlines()
 
 
-def _reject_unknown(obj: dict, allowed: set, context: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ConfigurationError(f"unknown {context} keys: {unknown}")
+def _settings(args, kind: str) -> dict:
+    """Every setting of a run, each from the first of: a flag that was given,
+    the ``--config`` file, the preset either names.  The file is an object
+    whose keys are the command's own long options (``config`` aside) plus
+    ``scenario``.  ``dimension`` comes out an int (default 3) and
+    ``scenario`` the built ``kind`` scenario."""
+    own = set(vars(args)) - {"command", "func", "config"}
+    cfg = {}
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
+            try:
+                cfg = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, too long
+                raise ConfigurationError(f"config file {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigurationError("config file must contain a JSON object")
+        _reject_unknown(cfg, own | {"scenario"}, "config")
+        cfg = {key: val for key, val in cfg.items() if val is not None}
+        for key in ("grid", "out", "preset"):  # the other string settings are checked where used
+            if key in cfg:
+                _typed(cfg[key], str, f"config key {key!r}")
+    given = {**cfg, **{key: val for key, val in vars(args).items() if key in own and val is not None}}
+    dim = given["dimension"] = _number(given.get("dimension", 3), "config key 'dimension'", int)
+    name = given.get("preset")
+    if name is not None and "scenario" in cfg:
+        raise ConfigurationError(f"both 'preset' ({name!r}) and a config 'scenario' given: keep one")
+    merged = {**(preset(name, dim) if name is not None else {}), **given}
+    if "scenario" not in merged:
+        raise ConfigurationError("no scenario: pass --preset or a config scenario")
+    merged["scenario"] = scenario_from_config(merged["scenario"], dim, kind)
+    return merged
 
 
-def _require(obj: dict, keys, context: str) -> None:
-    for key in keys:
-        if key not in obj:
-            raise ConfigurationError(f"{context} missing {key!r}")
-
-
-def _number(value, what: str, kind=float):
-    """``value`` as a ``kind``: never a boolean, and a whole number for ``int``."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError(value)
-        num = float(value)
-        if kind is int and not num.is_integer():
-            raise ValueError(value)
-        return kind(num)
-    except (TypeError, ValueError, OverflowError) as exc:
-        whole = " whole" if kind is int else ""
-        raise ConfigurationError(f"{what}: {value!r} is not a{whole} number") from exc
-
-
-def _typed(value, kind, what: str):
-    if not isinstance(value, kind):
-        raise ConfigurationError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
-    return value
-
-
-def _load_config(args) -> dict:
-    """The ``--config`` file of ``args``: an object whose keys are the
-    command's own long options (``config`` aside) plus ``scenario``."""
-    path = args.config
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, too long
-            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigurationError("config file must contain a JSON object")
-    _reject_unknown(cfg, (set(vars(args)) - {"command", "func", "config"}) | {"scenario"}, "config")
-    for key in ("grid", "out", "preset"):  # the other string settings are checked where used
-        if cfg.get(key) is not None:
-            _typed(cfg[key], str, f"config key {key!r}")
-    return cfg
-
-
-def _setting(args, cfg: dict, key: str, default=None, kind=None):
-    """Flag, else config value, else ``default``; converted by ``kind``."""
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is None:
-        val = cfg.get(key)
-    if val is None:
-        val = default
-    return val if kind is None or val is None else _number(val, f"config key {key!r}", kind)
-
-
-def _tolerance(args, cfg: dict, key: str) -> float:
+def _tolerance(settings: dict, key: str) -> float:
     """A tolerance setting (default 1e-10): finite and > 0, else no search or
     integral it sets could end."""
-    val = _setting(args, cfg, key, 1e-10, float)
+    val = _number(settings.get(key, 1e-10), f"config key {key!r}")
     if not 0.0 < val < math.inf:
         raise ConfigurationError(f"config key {key!r}: {val!r} is not a finite number > 0")
     return val
-
-
-def _generator_from_spec(spec: dict, dimension: int, what: str) -> Generator:
-    _require(_typed(spec, dict, what), ("kind", "center", "t"), "generator definition")
-    kind = _typed(spec["kind"], str, "generator key 'kind'")
-    shape = {GAUSSIAN: ("sigma",), HARD_SHELL: ("r_inner", "r_outer")}.get(kind)
-    if shape is None:
-        raise ConfigurationError(f"unknown generator kind {kind!r}")
-    _reject_unknown(spec, {"kind", "center", *shape, *_GEN_COMMON}, "generator")
-    _require(spec, shape, f"{kind} generator")
-    num = {key: _number(spec.get(key, 1.0), f"generator key {key!r}") for key in shape + _GEN_COMMON}
-    center = tuple(_number(c, "generator key 'center'")
-                   for c in _typed(spec["center"], list, "generator key 'center'"))
-    smearing = RadialSmearing(kind, dimension, center, amplitude=num["amplitude"],
-                              **{key: num[key] for key in shape})
-    return Generator(smearing=smearing, coupling_time=num["t"], coupling=num["coupling"])
 
 
 def _parse_grid(text: str, dimension: int) -> GridSpec:
@@ -156,43 +113,12 @@ def _parse_grid(text: str, dimension: int) -> GridSpec:
     return GridSpec(axes=tuple(axes))
 
 
-def _resolve_scenario(args, cfg, expect_kind: str):
-    dim = _setting(args, cfg, "dimension", 3, int)
-    name = _setting(args, cfg, "preset")
-    inline = cfg.get("scenario")
-    if name is not None:
-        p = preset(name, dim)
-        if p.kind != expect_kind:
-            raise ConfigurationError(
-                f"preset {name!r} is a {p.kind} scenario, not usable here"
-            )
-        return dim, p.payload, p
-    if inline is None:
-        raise ConfigurationError("no scenario: pass --preset or a config scenario")
-    if not isinstance(inline, dict):
-        raise ConfigurationError("inline scenario must be an object")
-    if expect_kind == "channel":
-        _reject_unknown(inline, {"alice", "bobs"}, "scenario")
-        _require(inline, ("alice", "bobs"), "inline scenario")
-        alice = _generator_from_spec(inline["alice"], dim, "scenario key 'alice'")
-        bobs = [_generator_from_spec(b, dim, "each of scenario key 'bobs'")
-                for b in _typed(inline["bobs"], list, "scenario key 'bobs'")]
-        return dim, make_channel_scenario(alice, bobs, dim), None
-    _reject_unknown(inline, {"generators", "times"}, "scenario")
-    _require(inline, ("generators",), "inline scenario")
-    gens = [_generator_from_spec(g, dim, "each of scenario key 'generators'")
-            for g in _typed(inline["generators"], list, "scenario key 'generators'")]
-    if not gens:
-        raise ConfigurationError("inline scenario has no generators")
-    return dim, gens, None
-
-
 def cmd_capacity(args) -> int:
-    cfg = _load_config(args)
-    dim, scenario, _ = _resolve_scenario(args, cfg, "channel")
-    base = _setting(args, cfg, "log_base", "2")
-    tol = _tolerance(args, cfg, "tol")
-    search_tol = _tolerance(args, cfg, "search_tol")
+    settings = _settings(args, "channel")
+    dim, scenario = settings["dimension"], settings["scenario"]
+    base = settings.get("log_base", "2")
+    tol = _tolerance(settings, "tol")
+    search_tol = _tolerance(settings, "search_tol")
     result = capacity_table(scenario, base=base, tol=tol, search_tol=search_tol)
 
     report = {
@@ -210,7 +136,7 @@ def cmd_capacity(args) -> int:
             for label, c in result.capacities.items()
         },
     }
-    out = _setting(args, cfg, "out", f"capacity_d{dim}.json")
+    out = settings.get("out", f"capacity_d{dim}.json")
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -227,38 +153,24 @@ def _sigma_scale(generators) -> float:
     return 1.0
 
 
-def cmd_evolve(args, forced_preset: str | None = None) -> int:
-    cfg = _load_config(args)
-    if forced_preset is not None and args.preset is None:
-        args.preset = forced_preset
-    dim, generators, pre = _resolve_scenario(args, cfg, "evolve")
-
-    t_setting = _setting(args, cfg, "t")
-    if t_setting is None and isinstance(cfg.get("scenario"), dict):
-        t_setting = cfg["scenario"].get("times")
-    if t_setting is None and pre is not None:
-        times = list(pre.default_times)
-    elif t_setting is None or t_setting == []:
+def cmd_evolve(args) -> int:
+    settings = _settings(args, "evolve")
+    dim, generators = settings["dimension"], settings["scenario"]
+    t_setting = settings.get("t")
+    if t_setting is None or t_setting == []:
         raise ConfigurationError("no snapshot time: pass --t")
-    else:
-        times = [_number(t, "snapshot time 't'")
-                 for t in (t_setting if isinstance(t_setting, list) else [t_setting])]
-
-    grid_setting = _setting(args, cfg, "grid")
-    if grid_setting is not None:
-        grid = _parse_grid(grid_setting, dim)
-    elif pre is not None and pre.grid is not None:
-        grid = pre.grid
-    else:
+    times = [_number(t, "snapshot time 't'")
+             for t in (t_setting if isinstance(t_setting, list) else [t_setting])]
+    if "grid" not in settings:
         raise ConfigurationError("no grid: pass --grid")
-
-    tol = _tolerance(args, cfg, "tol")
-    threads = _setting(args, cfg, "threads", 1, int)
-    out_base = _setting(args, cfg, "out")
+    grid = _parse_grid(settings["grid"], dim)
+    tol = _tolerance(settings, "tol")
+    threads = _number(settings.get("threads", 1), "config key 'threads'", int)
+    out_base = settings.get("out")
 
     modes = build_qic(generators, dim, tol=tol)
     sigma = _sigma_scale(generators)
-    name = pre.name if pre is not None else "custom"
+    name = settings.get("preset", "custom")
     for t in times:
         grid_data = weighting_grid(modes, None, t, grid, tol=tol, threads=threads)
         if out_base is None:
@@ -374,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("shockwave", help="evolve with the shockwave preset")
     _add_common(p_sw, with_grid=True)
-    p_sw.set_defaults(func=lambda a: cmd_evolve(a, forced_preset="shockwave"))
+    p_sw.set_defaults(func=lambda a: cmd_evolve(a), preset="shockwave")
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
     p_val.add_argument("--only", default=None,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
-from scipy.special import dawsn, j0
+from scipy.special import dawsn, digamma, j0
 
 from .errors import ConfigurationError, QuadratureError, naming
 from .quadrature import (DAMPING_NODES, ROUNDING, _gauss_legendre, _merged, certified_rule,
@@ -93,9 +93,14 @@ def _radial_integrand(d: int, dx: float, tau: float, profiles, derivative: bool 
 
 def _kernel_sums(d: int, r: np.ndarray, k: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Rows sum_k kernel_d(k r) weights at radii r, one complex column per
-    pair of real weight columns.  einsum's own loop, unlike BLAS, gives each
-    row the same bits whatever the block height."""
-    return np.einsum("ij,jk->ik", _kernel(d, r[:, None], k), weights).view(complex)
+    pair of real weight columns, in blocks of <= 4e6 kernel values.  einsum's
+    own loop, unlike BLAS, gives each row the same bits whatever the block height."""
+    chunk = max(1, int(4e6 // len(k)))
+    sums = np.empty((len(r), weights.shape[1] // 2), dtype=complex)
+    for i0 in range(0, len(r), chunk):
+        sums[i0 : i0 + chunk] = np.einsum("ij,jk->ik", _kernel(d, r[i0 : i0 + chunk, None], k),
+                                          weights).view(complex)
+    return sums
 
 
 def _certified_nodes(d: int, tau: float, profiles, radii: np.ndarray, tol: float, derivatives):
@@ -122,7 +127,6 @@ def _certified_nodes(d: int, tau: float, profiles, radii: np.ndarray, tol: float
 # d=3 hard shells: exact finite-part sums
 # --------------------------------------------------------------------------
 
-_PSI = [-0.5772156649015329 + sum(1.0 / j for j in range(1, n + 1)) for n in range(8)]
 _I_POW = (1.0, 1j, -1.0, -1j)
 
 
@@ -140,13 +144,14 @@ def _finite_part(terms) -> tuple[complex, float, bool]:
     c, p, omega = _merged(*terms[:3])
     divergent = bool(np.any((omega == 0.0) & (p <= 1.0)))
     re, im, mag = [], [], []
-    for c, p, w in zip(c.tolist(), p.astype(int).tolist(), omega.tolist()):
+    psi = digamma(np.maximum(p, 1.0)).tolist()  # psi(n + 1) where n = p - 1 >= 0, one call
+    for c, p, w, psi_n in zip(c.tolist(), p.astype(int).tolist(), omega.tolist(), psi):
         if w == 0.0:
             continue
         if p >= 1:
             n = p - 1
             f = _I_POW[n % 4] * w**n / math.factorial(n) * complex(
-                _PSI[n] - math.log(abs(w)), math.copysign(0.5 * math.pi, w))
+                psi_n - math.log(abs(w)), math.copysign(0.5 * math.pi, w))
         else:
             f = math.factorial(-p) * _I_POW[(1 - p) % 4] / w ** (1 - p)
         term = c * f
@@ -590,6 +595,7 @@ class ModeProfileEvaluator:
         within tol sum|w f| less the node set's ``estimate``; the points are
         nested (bit for bit: n - 1 is a power of two), so every value is reused."""
         k, weights = self._nodes
+        direct = functools.partial(_kernel_sums, 2, k=k, weights=weights)
         room = self.tol * np.abs(weights.view(complex)).sum(axis=0) - estimate
         n, values = 2, None
         while n < 0.5 * k[-1] * dx_max:
@@ -597,23 +603,14 @@ class ModeProfileEvaluator:
         while dx_max > 0.0 and distinct * len(k) > (2 * n - 1) * (len(k) + distinct):
             points = dx_max * np.sin(np.arange(2 * n - 1) * (0.25 * math.pi / (n - 1))) ** 2
             if values is None:
-                values = self._rows(self._direct, points[::2])
+                values = self._rows(direct, points[::2])
             table = np.empty((2 * n - 1, 2), dtype=complex)
-            table[::2], table[1::2] = values, self._rows(self._direct, points[1::2])
+            table[::2], table[1::2] = values, self._rows(direct, points[1::2])
             miss = np.abs(_barycentric(points[::2], values, points[1::2]) - table[1::2])
             if np.all(miss.max(axis=0) <= room):
                 return points, table
             n, values = 2 * n - 1, table
         return None
-
-    def _direct(self, u: np.ndarray) -> np.ndarray:
-        """The node set's sums of I and dI/dt at radii u, in blocks of <= 4e6 J0 values."""
-        k, weights = self._nodes
-        chunk = max(1, int(4e6 // len(k)))
-        sums = np.empty((len(u), 2), dtype=complex)
-        for i0 in range(0, len(u), chunk):
-            sums[i0 : i0 + chunk] = _kernel_sums(2, u[i0 : i0 + chunk], k, weights)
-        return sums
 
     def evaluate(self, dx) -> tuple[np.ndarray, np.ndarray]:
         """I and dI/dt at the radii ``dx`` (any shape): one `np.unique`, the
@@ -639,7 +636,7 @@ class ModeProfileEvaluator:
                                          f": outside [0, {points[-1]}], the interpolated range")
             return _barycentric(points, values, u)
         if self._nodes is not None:
-            return self._direct(u)
+            return _kernel_sums(2, u, *self._nodes)
         out = np.empty((len(u), 2), dtype=complex)
         # hard shells: per-radius finite-part sum (d=3) or quadrature
         for i, r in enumerate(u):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qicsim import channel, cli, validate
 from qicsim.cli import main
 from qicsim.qic import FieldGrid, GridAxis, GridSpec
+from qicsim.scenarios import PRESETS, preset
 
 TABLE1_D3 = (0.0, 3.39083e-5, 0.0, 3.45126e-5, 3.73605e-5, 0.0, 3.79689e-5)
 SUBSETS = ("B1", "B2", "B3", "B1B2", "B2B3", "B1B3", "B1B2B3")
@@ -182,7 +183,7 @@ class TestCapacityCommand:
 
     def test_wrong_preset_kind(self, tmp_path, capsys):
         assert main(["capacity", "--dim", "3", "--preset", "single"]) == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown scenario keys: ['generators']\n"
 
     def test_unknown_preset_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -393,6 +394,58 @@ class TestEvolveCommand:
         assert data[0, 1] == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-9)
 
 
+class TestPresetIsAConfig:
+    """A preset is the config `scenarios.preset` returns, and every setting
+    comes from a flag, else the config file, else the preset, else a default."""
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, capsys, where, argv):
+        """stdout and the files of one run in its own directory ``where``."""
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)
+        assert main(argv) == 0
+        return capsys.readouterr().out, {p.name: p.read_bytes() for p in (tmp_path / where).iterdir()}
+
+    @pytest.mark.parametrize("d", (2, 3))
+    @pytest.mark.parametrize("name", tuple(PRESETS))
+    def test_preset_config_file_runs_the_same_bytes(self, tmp_path, monkeypatch, capsys, name, d):
+        cfg = tmp_path / "preset.json"
+        cfg.write_text(json.dumps(preset(name, d)))
+        command = ["capacity"] if name == "table1" else ["evolve"]
+        small = [] if name == "table1" else ["--grid", "x=5:6:0.5,y=0" + ",z=0" * (d == 3)]
+        runs = [command + ["--preset", name], command + ["--config", str(cfg)]]
+        runs += [["shockwave"]] if name == "shockwave" else []
+        ref, *others = (self._run(tmp_path, monkeypatch, capsys, f"run{i}",
+                                  argv + ["--dim", str(d), "--out", "run.out"] + small)
+                        for i, argv in enumerate(runs))
+        assert len(ref[1]) == len(preset(name, d).get("t", [None]))
+        assert all(other == ref for other in others)
+
+    def test_flag_over_file_over_preset(self, tmp_path, monkeypatch, capsys):
+        def run(where, cfg, flags=()):
+            (tmp_path / f"{where}.json").write_text(json.dumps(cfg))
+            out, files = self._run(tmp_path, monkeypatch, capsys, where,
+                                   ["evolve", "--preset", "single", "--config",
+                                    str(tmp_path / f"{where}.json"), *flags])
+            return out.splitlines(), {name: text.split(b",")[0] for name, text in files.items()}
+
+        grid = "x=0:1:0.5,y=0,z=0"
+        # the file over the preset for t, grid and out
+        assert run("file", {"t": 1, "grid": grid, "out": "file.csv"}) == (
+            ["wrote file.csv (3 points, 1 modes)"], {"file.csv": b"# t = 1"})
+        # flags over the file
+        flags = ("--t", "2", "--grid", "x=0:0.5:0.5,y=0,z=0", "--out", "flag.csv")
+        assert run("flag", {"t": 1, "grid": grid, "out": "file.csv"}, flags) == (
+            ["wrote flag.csv (2 points, 1 modes)"], {"flag.csv": b"# t = 2"})
+        # the preset's times, then its grid, under the built-in output names
+        assert run("times", {"grid": grid}) == (
+            [f"wrote evolve_single_d3_t{t}.csv (3 points, 1 modes)" for t in (0, 2, 4)],
+            {f"evolve_single_d3_t{t}.csv": f"# t = {t}".encode() for t in (0, 2, 4)})
+        assert run("grid", {"t": 1}) == (
+            ["wrote evolve_single_d3_t1.csv (58081 points, 1 modes)"],
+            {"evolve_single_d3_t1.csv": b"# t = 1"})
+
+
 _POOL = (0.0, -0.0, 1.0, 0.1, -2.5, 5e-324, np.nan, np.inf)
 
 
@@ -465,8 +518,9 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
     (_SINGLE, {"threads": 1.9}, "'threads'"),
     (_SINGLE[:3] + _SINGLE[5:], {"t": True}, "'t'"),
     (_SINGLE[:3] + _SINGLE[5:], {"t": []}, "no snapshot time"),
+    # snapshot times are the config's own `t`; the scenario object carries none
     (_EVOLVE[:1] + _EVOLVE[3:], {"scenario": {"generators": [_GAUSS], "times": []}},
-     "no snapshot time"),
+     "unknown scenario keys: ['times']"),
     (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "coupling": True}]}}, "'coupling'"),
     (["capacity", "--preset", "table1"], '{"dimension": Infinity}', "'dimension'"),
     (_SINGLE, '{"threads": Infinity}', "'threads'"),
@@ -516,6 +570,13 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
     (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "kind": ["gaussian"]}]}},
      "generator key 'kind' must be a JSON str"),
     (_EVOLVE, {"scenario": {"generators": [{**_GAUSS, "kind": "disc"}]}}, "unknown generator kind 'disc'"),
+    # a run takes one scenario: a preset's or an inline one, never both
+    (["capacity"], {"preset": "table1", "scenario": {"alice": _SHELL, "bobs": [_SHELL]}},
+     "both 'preset' ('table1') and a config 'scenario' given"),
+    (["capacity", "--preset", "table1"], {"scenario": {"alice": _SHELL, "bobs": [_SHELL]}},
+     "both 'preset' ('table1') and a config 'scenario' given"),
+    (["shockwave"] + _EVOLVE[1:], {"scenario": {"generators": [_GAUSS]}},
+     "both 'preset' ('shockwave') and a config 'scenario' given"),
 ], ids=["grid-value", "grid-inf", "config-json", "config-not-utf8", "config-deep", "config-long-int",
         "no-alice", "no-r-outer", "sigma-text", "center-number", "alice-number", "bobs-number", "bobs-empty", "bobs-over-budget",
         "generators-number",
@@ -528,7 +589,8 @@ _SINGLE = ["evolve", "--preset", "single", "--t", "1", "--grid", "x=0:1:0.5,y=0,
         "capacity-evolve-keys", "evolve-capacity-keys", "gaussian-shell-key", "config-not-object",
         "grid-axis-count", "grid-axis-no-name", "grid-axis-two-fields", "grid-fixed-inf",
         "no-scenario", "scenario-name", "generators-empty", "no-grid",
-        "preset-list", "preset-object", "kind-list", "kind-unknown"])
+        "preset-list", "preset-object", "kind-list", "kind-unknown",
+        "preset-and-scenario", "preset-flag-and-scenario", "shockwave-and-scenario"])
 def test_malformed_input_is_one_line_error(tmp_path, capsys, argv, config, named):
     argv = argv + ["--out", str(tmp_path / "out")]
     if config is not None:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from qicsim.cli import _parse_grid, main
 from qicsim.errors import ConfigurationError
 from qicsim.qic import GridAxis, build_qic
 from qicsim.scenarios import (
-    default_grid,
     preset,
     preset_fingerprint,
     serialize_preset,
@@ -58,7 +58,7 @@ class TestEvolvePresets:
         assert g.smearing.sigma == 0.2
         assert g.smearing.center == (0.0,) * d
         assert g.coupling_time == 0.0
-        assert preset("single", d).default_times == (0.0, 2.0, 4.0)
+        assert preset("single", d)["t"] == [0.0, 2.0, 4.0]
 
     @pytest.mark.parametrize("d", (3, 2))
     def test_shockwave_parameters(self, d):
@@ -67,7 +67,7 @@ class TestEvolvePresets:
         assert [g.smearing.center[0] for g in gens] == [6.5, 8.0, 9.5]
         assert all(g.smearing.center[1:] == (0.0,) * (d - 1) for g in gens)
         assert all(g.smearing.sigma == 0.2 for g in gens)
-        assert preset("shockwave", d).default_times == (8.0,)
+        assert preset("shockwave", d)["t"] == [8.0]
 
     @pytest.mark.parametrize("d", (3, 2))
     def test_shockwave_builds_three_modes(self, d):
@@ -77,17 +77,19 @@ class TestEvolvePresets:
         assert np.all(modes.alphas > 0.0)
 
     def test_default_grids(self):
-        g3 = default_grid("single", 3)
+        g3 = _parse_grid(preset("single", 3)["grid"], 3)
         assert g3.axes[0] == GridAxis(-6.0, 6.0, 0.05)
         assert g3.axes[1] == GridAxis(-6.0, 6.0, 0.05)
         assert g3.axes[2] == 0.0
-        g2 = default_grid("shockwave", 2)
+        g2 = _parse_grid(preset("shockwave", 2)["grid"], 2)
         assert g2.axes[0] == GridAxis(0.0, 16.0, 0.1)
         assert g2.axes[1] == GridAxis(-8.0, 8.0, 0.1)
 
-    def test_channel_preset_has_no_default_grid(self):
-        with pytest.raises(ConfigurationError, match="^no default grid for preset 'table1'$"):
-            default_grid("table1", 3)
+    def test_channel_preset_has_no_default_grid(self, capsys):
+        assert "grid" not in preset("table1", 3)
+        assert main(["evolve", "--dim", "3", "--preset", "table1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestPresetRegistry:
